@@ -45,7 +45,7 @@ void BM_Asr_PathJoin_Original(benchmark::State& state) {
     state.SkipWithError(result.status().ToString().c_str());
     return;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(result->original_datalog, &stats);
@@ -82,7 +82,7 @@ void BM_Asr_PathJoin_Folded(benchmark::State& state) {
     state.SkipWithError("ASR fold not produced");
     return;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(folded->datalog, &stats);
@@ -101,7 +101,7 @@ void BM_Asr_JoinIntroduction_Original(benchmark::State& state) {
     state.SkipWithError(result.status().ToString().c_str());
     return;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(result->original_datalog, &stats);
@@ -135,7 +135,7 @@ void BM_Asr_JoinIntroduction_Q1Prime(benchmark::State& state) {
     state.SkipWithError("Q1' not produced");
     return;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(q1_prime->datalog, &stats);

@@ -1,15 +1,12 @@
-// Set-at-a-time batch evaluator vs the tuple-at-a-time fallback
-// (EvalOptions::batch). Three experiments on the university workload:
+// Evaluator experiments on the university workload:
 //
 //  AgeJoin      equi-join students ⋈ TAs on the shared `age` attribute
-//               with `auto_index` off — the batch engine builds one
-//               transient hash table and probes it per binding, the tuple
-//               engine re-scans the TA extent for every student (the index
-//               nested loop the tentpole replaces). This is the ≥2×
-//               acceptance workload.
+//               with `auto_index` off — the TA step builds one hash table
+//               over its extent and every student binding probes it,
+//               instead of re-scanning the TA extent per binding.
 //  PathJoin     the §5.4 four-hop student→TA path under default options —
-//               relationship traversals dominate, so this bounds the batch
-//               engine's overhead on traversal-heavy plans.
+//               relationship traversals dominate, so nothing amortizes and
+//               every step streams per binding.
 //  MutationMix  interleaves attribute updates + relationship churn with a
 //               selection served by the lazily built persistent index.
 //               Exports `full_rebuilds` / `delta_applies` measured after a
@@ -17,9 +14,11 @@
 //               `full_rebuilds` at 0 where clear-on-write invalidation
 //               used to rebuild on every iteration.
 //
-// Every variant exports qps plus p50/p95/p99 per-query latency (µs),
-// measured manually per iteration (google-benchmark aggregates alone
-// cannot express tail quantiles).
+// The `_Batch` suffix of the run names is historical (runs are matched by
+// name against the committed BENCH_pipeline.json). Every variant exports
+// qps plus p50/p95/p99 per-query latency (µs), measured manually per
+// iteration (google-benchmark aggregates alone cannot express tail
+// quantiles).
 
 #include <algorithm>
 #include <chrono>
@@ -56,9 +55,8 @@ datalog::Query MustParse(World& world, const char* text) {
 }
 
 // Students joined to TAs on age: the second atom has a bound attribute and
-// no declared key, so the tuple engine falls back to a guarded extent scan
-// per student binding while the batch engine hash-builds the TA extent
-// once (auto_index disabled to isolate the two join strategies).
+// no declared key, so with auto_index disabled the evaluator hash-builds
+// the TA extent once and probes it per student binding.
 const char* kAgeJoinQuery =
     "q(X, Y) :- student(oid: X, age: A), ta(oid: Y, age: A).";
 
@@ -77,7 +75,7 @@ const char* kIndexedSelection =
 void RunQueryBench(benchmark::State& state, World& world,
                    const datalog::Query& query,
                    const engine::EvalOptions& options) {
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   std::vector<int64_t> latencies_ns;
   for (auto _ : state) {
     stats.Reset();
@@ -109,9 +107,8 @@ void RunQueryBench(benchmark::State& state, World& world,
   }
 }
 
-engine::EvalOptions ModeOptions(bool batch, bool auto_index) {
+engine::EvalOptions AutoIndexOptions(bool auto_index) {
   engine::EvalOptions options;
-  options.batch = batch;
   options.auto_index = auto_index;
   return options;
 }
@@ -119,47 +116,29 @@ engine::EvalOptions ModeOptions(bool batch, bool auto_index) {
 void BM_BatchEval_AgeJoin_Batch(benchmark::State& state) {
   World& world = CachedWorld(0, JoinConfig());
   RunQueryBench(state, world, MustParse(world, kAgeJoinQuery),
-                ModeOptions(/*batch=*/true, /*auto_index=*/false));
+                AutoIndexOptions(/*auto_index=*/false));
 }
 BENCHMARK(BM_BatchEval_AgeJoin_Batch);
-
-void BM_BatchEval_AgeJoin_Tuple(benchmark::State& state) {
-  World& world = CachedWorld(0, JoinConfig());
-  RunQueryBench(state, world, MustParse(world, kAgeJoinQuery),
-                ModeOptions(/*batch=*/false, /*auto_index=*/false));
-}
-BENCHMARK(BM_BatchEval_AgeJoin_Tuple);
 
 void BM_BatchEval_PathJoin_Batch(benchmark::State& state) {
   World& world = CachedWorld(0, JoinConfig());
   RunQueryBench(state, world, MustParse(world, kPathQuery),
-                ModeOptions(/*batch=*/true, /*auto_index=*/true));
+                AutoIndexOptions(/*auto_index=*/true));
 }
 BENCHMARK(BM_BatchEval_PathJoin_Batch);
-
-void BM_BatchEval_PathJoin_Tuple(benchmark::State& state) {
-  World& world = CachedWorld(0, JoinConfig());
-  RunQueryBench(state, world, MustParse(world, kPathQuery),
-                ModeOptions(/*batch=*/false, /*auto_index=*/true));
-}
-BENCHMARK(BM_BatchEval_PathJoin_Tuple);
 
 /// Mutation-heavy mix: each iteration updates one student's age, toggles
 /// one `takes` pair, and runs the indexed selection. A warmup query before
 /// the timed loop builds the lazy index; the exported counters then show
 /// whether mutations delta-apply (`delta_applies` grows, `full_rebuilds`
 /// stays 0) or invalidate (`full_rebuilds` grows with every iteration).
-void MutationMix(benchmark::State& state, bool batch) {
+void BM_BatchEval_MutationMix_Batch(benchmark::State& state) {
   // Private world: this bench mutates the store.
-  static auto* worlds = new std::map<bool, World>();
-  auto it = worlds->find(batch);
-  if (it == worlds->end()) {
-    it = worlds->emplace(batch, World::Make(JoinConfig())).first;
-  }
-  World& world = it->second;
+  static World* private_world = new World(World::Make(JoinConfig()));
+  World& world = *private_world;
   const datalog::Query selection = MustParse(world, kIndexedSelection);
   const datalog::Query students = MustParse(world, "q(X) :- student(oid: X).");
-  const engine::EvalOptions options = ModeOptions(batch, /*auto_index=*/true);
+  const engine::EvalOptions options = AutoIndexOptions(/*auto_index=*/true);
 
   auto oid_rows = world.db->Run(students);
   if (!oid_rows.ok() || oid_rows->empty()) {
@@ -177,7 +156,7 @@ void MutationMix(benchmark::State& state, bool batch) {
 
   obs::MetricsRegistry metrics;
   obs::ScopedMetrics scoped(&metrics);
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   std::vector<int64_t> latencies_ns;
   size_t tick = 0;
   for (auto _ : state) {
@@ -228,15 +207,7 @@ void MutationMix(benchmark::State& state, bool batch) {
       metrics.CounterValue("index.delta_applies")));
 }
 
-void BM_BatchEval_MutationMix_Batch(benchmark::State& state) {
-  MutationMix(state, /*batch=*/true);
-}
 BENCHMARK(BM_BatchEval_MutationMix_Batch);
-
-void BM_BatchEval_MutationMix_Tuple(benchmark::State& state) {
-  MutationMix(state, /*batch=*/false);
-}
-BENCHMARK(BM_BatchEval_MutationMix_Tuple);
 
 }  // namespace
 }  // namespace sqo::bench

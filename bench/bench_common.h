@@ -53,7 +53,7 @@ inline World& CachedWorld(int key, const workload::GeneratorConfig& config) {
 }
 
 /// Copies evaluator counters into benchmark user counters.
-inline void ExportStats(benchmark::State& state, const engine::EvalStats& stats) {
+inline void ExportStats(benchmark::State& state, const obs::EvalStats& stats) {
   state.counters["fetched"] =
       benchmark::Counter(static_cast<double>(stats.objects_fetched));
   state.counters["traversals"] =

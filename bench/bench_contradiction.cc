@@ -55,7 +55,7 @@ void BM_Contradiction_EvaluateNoSqo(benchmark::State& state) {
     state.SkipWithError(result.status().ToString().c_str());
     return;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(result->original_datalog, &stats);

@@ -30,7 +30,7 @@ void BM_JoinElimination_Original(benchmark::State& state) {
     state.SkipWithError(result.status().ToString().c_str());
     return;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(result->original_datalog, &stats);
@@ -50,7 +50,7 @@ void BM_JoinElimination_Optimized(benchmark::State& state) {
     return;
   }
   const core::Alternative& best = result->alternatives[result->best_index];
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(best.datalog, &stats);

@@ -38,7 +38,7 @@ void BM_ScopeReduction_Original(benchmark::State& state) {
     state.SkipWithError(result.status().ToString().c_str());
     return;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(result->original_datalog, &stats);
@@ -58,7 +58,7 @@ void BM_ScopeReduction_Optimized(benchmark::State& state) {
     return;
   }
   const core::Alternative& best = BestAlternative(*result);
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   for (auto _ : state) {
     stats.Reset();
     auto rows = world.db->Run(best.datalog, &stats);

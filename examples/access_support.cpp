@@ -46,7 +46,7 @@ void Show(const sqo::core::Pipeline& pipeline, const sqo::engine::Database& db,
     }
   }
   const sqo::core::Alternative& best = result.alternatives[result.best_index];
-  sqo::engine::EvalStats before, after;
+  sqo::obs::EvalStats before, after;
   auto rows_before = db.Run(result.original_datalog, &before);
   auto rows_after = db.Run(best.datalog, &after);
   if (rows_before.ok() && rows_after.ok()) {

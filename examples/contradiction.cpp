@@ -65,7 +65,7 @@ int main() {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());
     return 1;
   }
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   auto rows = db.Run(result.original_datalog, &stats);
   if (!rows.ok()) {
     std::fprintf(stderr, "%s\n", rows.status().ToString().c_str());

@@ -58,7 +58,7 @@ int main() {
                 best.oql.ToString().c_str());
   }
 
-  engine::EvalStats before, after;
+  obs::EvalStats before, after;
   auto rows_before = db.Run(result.original_datalog, &before);
   auto rows_after = db.Run(best.datalog, &after);
   if (!rows_before.ok() || !rows_after.ok()) return 1;

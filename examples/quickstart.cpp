@@ -74,7 +74,7 @@ int main() {
   }
 
   // --- Evaluate original vs chosen, with instrumentation. ---
-  engine::EvalStats before, after;
+  obs::EvalStats before, after;
   auto rows_before = db.Run(result.original_datalog, &before);
   Check(rows_before.status(), "evaluating original");
   auto rows_after = db.Run(best.datalog, &after);

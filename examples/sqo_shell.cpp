@@ -150,7 +150,7 @@ void RunQuery(const sqo::core::Pipeline& pipeline, const sqo::engine::Database& 
 
   auto record = [&](std::string status, bool degraded, bool cancelled,
                     bool contradiction, int chosen, size_t n_alternatives,
-                    const sqo::engine::EvalStats* stats,
+                    const sqo::obs::EvalStats* stats,
                     const sqo::obs::QueryProfile* profile) {
     if (session == nullptr) return;
     const int64_t duration_ns =

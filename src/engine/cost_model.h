@@ -9,24 +9,19 @@ namespace sqo::engine {
 
 /// The "cost-based physical optimizer" the paper defers to: ranks the
 /// semantically equivalent queries produced by Step 3 using the store's
-/// statistics, via the same greedy planner the evaluator uses. By default
-/// it prices plans for the set-at-a-time batch engine (hash build+probe
-/// joins for unindexed equality selections), matching the evaluator's
-/// default execution mode; pass `batch_costs = false` to rank for the
-/// tuple-at-a-time fallback engine.
+/// statistics, via the same greedy planner (and so the same prices) the
+/// evaluator runs.
 class EngineCostModel : public core::CostModel {
  public:
   /// `store` must outlive the model.
-  explicit EngineCostModel(const ObjectStore* store, bool batch_costs = true)
-      : store_(store), batch_costs_(batch_costs) {}
+  explicit EngineCostModel(const ObjectStore* store) : store_(store) {}
 
   double EstimateCost(const datalog::Query& query) const override {
-    return PlanQuery(query, *store_, PlannerOptions{batch_costs_}).cost;
+    return PlanQuery(query, *store_).cost;
   }
 
  private:
   const ObjectStore* store_;
-  bool batch_costs_;
 };
 
 }  // namespace sqo::engine

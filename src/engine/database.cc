@@ -28,7 +28,7 @@ sqo::Status Database::CreateKeyIndexes() {
 }
 
 sqo::Result<std::vector<std::vector<sqo::Value>>> Database::Run(
-    const datalog::Query& query, EvalStats* stats, EvalOptions options) const {
+    const datalog::Query& query, obs::EvalStats* stats, EvalOptions options) const {
   Evaluator evaluator(&store_, options);
   return evaluator.Evaluate(query, stats);
 }

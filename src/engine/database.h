@@ -38,14 +38,14 @@ class Database {
 
   /// Plans and evaluates a DATALOG query. `stats` may be null.
   sqo::Result<std::vector<std::vector<sqo::Value>>> Run(
-      const datalog::Query& query, EvalStats* stats = nullptr,
+      const datalog::Query& query, obs::EvalStats* stats = nullptr,
       EvalOptions options = {}) const;
 
   /// Result of a profiled evaluation: the rows plus the EXPLAIN ANALYZE
   /// operator tree the evaluator recorded while producing them.
   struct ProfiledRun {
     std::vector<std::vector<sqo::Value>> rows;
-    EvalStats stats;
+    obs::EvalStats stats;
     obs::QueryProfile profile;
   };
 

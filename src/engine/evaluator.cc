@@ -1,16 +1,14 @@
 #include "engine/evaluator.h"
 
+#include <array>
 #include <chrono>
-
-#include "engine/batch_evaluator.h"
-#include <functional>
-#include <map>
-#include <set>
+#include <type_traits>
+#include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/context.h"
 #include "common/failpoint.h"
-#include "common/strings.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -25,42 +23,6 @@ using datalog::RelationSignature;
 using datalog::Term;
 
 namespace {
-
-/// Variable bindings with a trail for chronological backtracking.
-class Env {
- public:
-  const sqo::Value* Lookup(const std::string& var) const {
-    auto it = bindings_.find(var);
-    return it == bindings_.end() ? nullptr : &it->second;
-  }
-
-  void Bind(const std::string& var, sqo::Value value) {
-    bindings_.emplace(var, std::move(value));
-    trail_.push_back(var);
-  }
-
-  size_t Mark() const { return trail_.size(); }
-
-  void Rollback(size_t mark) {
-    while (trail_.size() > mark) {
-      bindings_.erase(trail_.back());
-      trail_.pop_back();
-    }
-  }
-
- private:
-  std::map<std::string, sqo::Value> bindings_;
-  std::vector<std::string> trail_;
-};
-
-/// Resolved view of a term: a concrete value, or unbound.
-const sqo::Value* Resolve(const Term& t, const Env& env, sqo::Value* storage) {
-  if (t.is_constant()) {
-    *storage = t.constant();
-    return storage;
-  }
-  return env.Lookup(t.var_name());
-}
 
 /// Structural hashing/equality for result tuples, so DISTINCT dedup works
 /// on the values themselves rather than on a stringified key (which could
@@ -106,41 +68,139 @@ class NodeTimer {
   std::chrono::steady_clock::time_point start_;
 };
 
-/// Labels a node's operator kind on first execution (later invocations of
-/// the same plan step keep the first label; the access path of a fixed
-/// plan step is stable across bindings in practice).
-void LabelNode(obs::ProfileNode* node, const char* op,
-               const std::string& relation, bool index_used = false) {
-  if (node == nullptr || !node->op.empty()) return;
+/// True when `node` is profiled and not yet labeled: a plan step keeps the
+/// operator label of its first execution. Callers test this before building
+/// the label text, so unprofiled runs never format labels.
+bool Unlabeled(const obs::ProfileNode* node) {
+  return node != nullptr && node->op.empty();
+}
+
+void Label(obs::ProfileNode* node, const char* op, std::string relation,
+           bool index_used = false) {
   node->op = op;
-  node->relation = relation;
+  node->relation = std::move(relation);
   node->index_used = index_used;
 }
 
+/// One argument of a plan step, resolved once per evaluation against the
+/// variables bound before that step. Which variables are bound at a plan
+/// position is the same for every binding that reaches it, so per-binding
+/// work never looks a variable up by name.
+struct ArgSlot {
+  enum Kind {
+    kConst,   // constant term
+    kBound,   // variable bound upstream: compare against its slot
+    kNew,     // first occurrence of a variable unbound here: binds its slot
+    kRepeat,  // later occurrence of such a variable in the same atom:
+              // compare against the value the first occurrence bound
+  };
+  Kind kind = kNew;
+  sqo::Value constant;  // kConst
+  size_t slot = 0;      // the variable's position in the binding row
+};
+
+bool IsBound(const ArgSlot& a) {
+  return a.kind == ArgSlot::kConst || a.kind == ArgSlot::kBound;
+}
+
+std::array<sqo::Value, 2> OidPair(sqo::Oid src, sqo::Oid dst) {
+  return {sqo::Value::FromOid(src), sqo::Value::FromOid(dst)};
+}
+
+/// How a positive class/structure step with an unbound OID reaches its
+/// candidates. Settled when the first binding arrives.
+enum class Access {
+  kUnresolved,
+  kIndex,       // explicit index on a bound attribute, probed per binding
+  kLazyIndex,   // the store's adaptive index, probed per binding
+  kScan,        // extent scan per binding (the plan's first relation access)
+  kHashJoin,    // bound attribute, no index: one hash table, probed
+  kSharedScan,  // no bound attribute: one scan, replayed per binding
+};
+
+/// One plan position, prepared before execution.
+struct PlanStep {
+  const Literal* lit = nullptr;
+  const RelationSignature* sig = nullptr;  // null for comparisons
+  std::vector<ArgSlot> args;
+  /// Follows the plan's first relation access, so more than one binding
+  /// may arrive: a class step builds candidates that do not depend on the
+  /// binding once (hash join, shared extent scan) instead of scanning.
+  bool amortize = false;
+  /// A membership guard evaluated by the scan that binds its variable.
+  bool consumed = false;
+  std::vector<std::pair<size_t, std::string>> guards;  // (position, relation)
+  Access access = Access::kUnresolved;
+  size_t attr = 0;  // the attribute an index probe or hash join keys on
+  // Built by the first binding of an amortized step.
+  bool built = false;
+  uint64_t build_fetched = 0;  // guard-passing members fetched by the build
+  std::unordered_map<sqo::Value, std::vector<ObjectStore::Row>, sqo::ValueHash>
+      table;                                         // hash join
+  std::vector<ObjectStore::Row> rows;                // shared extent scan
+  std::vector<std::pair<sqo::Oid, sqo::Oid>> pairs;  // shared pair scan
+};
+
+/// Depth-first execution of one planned query over a single flat binding
+/// row: each variable owns one slot, a step binds by writing its slots and
+/// backtracks by letting the next candidate overwrite them, so no binding
+/// is ever copied or erased.
 class Execution {
  public:
   Execution(const ObjectStore& store, const Query& query,
-            const EvalOptions& options, EvalStats& stats,
-            obs::QueryProfile* profile = nullptr, const Plan* plan = nullptr)
+            const EvalOptions& options, obs::EvalStats& stats,
+            obs::QueryProfile* profile, const Plan* plan)
       : store_(store), query_(query), options_(options), stats_(stats),
-        profile_(profile), plan_(plan) {
-    for (const Term& t : query.head_args) {
-      if (t.is_variable()) var_occurrences_[t.var_name()] += 2;
-    }
-    for (const Literal& lit : query.body) {
-      std::vector<std::string> vars;
-      lit.atom.CollectVariables(&vars);
-      for (const std::string& v : vars) ++var_occurrences_[v];
-    }
-  }
+        profile_(profile), plan_(plan) {}
 
   sqo::Status Run(const std::vector<size_t>& order,
                   std::vector<std::vector<sqo::Value>>* out) {
     order_ = &order;
     out_ = out;
     if (profile_ != nullptr) SetUpProfile();
-    // Selection pushdown: pre-bind variables equated to constants so index
-    // probes and OID lookups see them from the start; the equality literal
+    Prepare();
+    return Step(0);
+  }
+
+ private:
+  size_t SlotOf(const Term& var) {
+    for (size_t i = 0; i < vars_.size(); ++i) {
+      if (vars_[i] == var.var_symbol()) return i;
+    }
+    vars_.push_back(var.var_symbol());
+    row_.emplace_back();
+    bound_.push_back(false);
+    return vars_.size() - 1;
+  }
+
+  /// Resolves `atom`'s arguments against the variables bound so far.
+  std::vector<ArgSlot> Resolve(const Atom& atom) {
+    std::vector<ArgSlot> args(atom.arity());
+    for (size_t i = 0; i < atom.arity(); ++i) {
+      const Term& t = atom.args()[i];
+      ArgSlot& a = args[i];
+      if (t.is_constant()) {
+        a.kind = ArgSlot::kConst;
+        a.constant = t.constant();
+        continue;
+      }
+      a.slot = SlotOf(t);
+      if (bound_[a.slot]) {
+        a.kind = ArgSlot::kBound;
+        continue;
+      }
+      for (size_t j = 0; j < i; ++j) {
+        if (args[j].kind == ArgSlot::kNew && args[j].slot == a.slot) {
+          a.kind = ArgSlot::kRepeat;
+        }
+      }
+    }
+    return args;
+  }
+
+  void Prepare() {
+    // Selection pushdown: variables equated to constants are bound from the
+    // start, so index probes and OID lookups see them; the equality literal
     // itself then passes trivially.
     for (const Literal& lit : query_.body) {
       if (!lit.positive || !lit.atom.is_comparison() ||
@@ -149,18 +209,92 @@ class Execution {
       }
       const Term& l = lit.atom.lhs();
       const Term& r = lit.atom.rhs();
-      if (l.is_variable() && r.is_constant() &&
-          env_.Lookup(l.var_name()) == nullptr) {
-        env_.Bind(l.var_name(), r.constant());
-      } else if (r.is_variable() && l.is_constant() &&
-                 env_.Lookup(r.var_name()) == nullptr) {
-        env_.Bind(r.var_name(), l.constant());
-      }
+      if (l.is_variable() == r.is_variable()) continue;
+      const Term& var = l.is_variable() ? l : r;
+      const size_t slot = SlotOf(var);
+      if (bound_[slot]) continue;
+      bound_[slot] = true;
+      row_[slot] = (l.is_variable() ? r : l).constant();
     }
-    return Step(0);
+    steps_.resize(order_->size());
+    bool accessed = false;
+    for (size_t k = 0; k < order_->size(); ++k) {
+      PlanStep& s = steps_[k];
+      s.lit = &query_.body[(*order_)[k]];
+      const Atom& atom = s.lit->atom;
+      s.args = Resolve(atom);
+      s.amortize = accessed;
+      if (atom.is_comparison()) continue;
+      s.sig = store_.schema().catalog.Find(atom.predicate());
+      if (s.sig != nullptr && s.sig->arity() != atom.arity()) s.sig = nullptr;
+      if (!s.lit->positive) continue;  // negation never binds
+      if (s.sig != nullptr &&
+          (s.sig->kind == RelationKind::kClass ||
+           s.sig->kind == RelationKind::kStructure) &&
+          s.args[0].kind == ArgSlot::kNew) {
+        for (size_t j = k + 1; j < order_->size(); ++j) {
+          std::string relation;
+          if (IsMembershipGuard(query_, (*order_)[j],
+                                atom.args()[0].var_name(), store_,
+                                &relation)) {
+            s.guards.emplace_back(j, std::move(relation));
+            steps_[j].consumed = true;
+          }
+        }
+      }
+      for (const ArgSlot& a : s.args) {
+        if (!IsBound(a)) bound_[a.slot] = true;
+      }
+      accessed = true;
+    }
+    head_.reserve(query_.head_args.size());
+    for (const Term& t : query_.head_args) {
+      ArgSlot a;
+      if (t.is_constant()) {
+        a.kind = ArgSlot::kConst;
+        a.constant = t.constant();
+      } else {
+        a.slot = SlotOf(t);
+        a.kind = bound_[a.slot] ? ArgSlot::kBound : ArgSlot::kNew;
+      }
+      head_.push_back(std::move(a));
+    }
   }
 
- private:
+  const sqo::Value& ValueOf(const ArgSlot& a) const {
+    return a.kind == ArgSlot::kConst ? a.constant : row_[a.slot];
+  }
+
+  /// Matches a candidate (a store row or an OID pair) against a step's
+  /// arguments: constants, bound and repeated variables compare (one
+  /// comparison each, stopping at the first mismatch), new variables bind
+  /// their slot. An rvalue candidate is moved from.
+  template <typename Candidate>
+  bool Unify(const std::vector<ArgSlot>& args, Candidate&& cand) {
+    for (size_t i = 0; i < args.size(); ++i) {
+      const ArgSlot& a = args[i];
+      if (a.kind == ArgSlot::kNew) {
+        if constexpr (std::is_lvalue_reference_v<Candidate>) {
+          row_[a.slot] = cand[i];
+        } else {
+          row_[a.slot] = std::move(cand[i]);
+        }
+        continue;
+      }
+      ++stats_.comparisons;
+      if (!ValueOf(a).Equals(cand[i])) return false;
+    }
+    return true;
+  }
+
+  /// Binds a candidate an amortized build already unified (and counted).
+  template <typename Candidate>
+  void Bind(const std::vector<ArgSlot>& args, const Candidate& cand) {
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (args[i].kind == ArgSlot::kNew) row_[args[i].slot] = cand[i];
+    }
+  }
+
   /// One profile node per plan position (relation pre-filled from the
   /// literal, operator labeled on first execution) plus the final emit
   /// node. The left-deep pipeline links up lazily: a node's parent is the
@@ -224,174 +358,159 @@ class Execution {
     return Step(k + 1);
   }
 
-  /// Unifies `atom`'s arguments against `row`; returns false on mismatch.
-  bool UnifyRow(const Atom& atom, const ObjectStore::Row& row) {
-    for (size_t i = 0; i < atom.arity(); ++i) {
-      sqo::Value tmp;
-      const sqo::Value* bound = Resolve(atom.args()[i], env_, &tmp);
-      if (bound != nullptr) {
-        ++stats_.comparisons;
-        if (!bound->Equals(row[i])) return false;
-      } else {
-        env_.Bind(atom.args()[i].var_name(), row[i]);
-      }
+  sqo::Status Step(size_t k) {
+    // Every join step is a budget unit; the charge also polls the deadline
+    // on a stride, so a pathological join order cannot run unbounded.
+    if (ExecutionContext* governance = CurrentContext()) {
+      SQO_RETURN_IF_ERROR(governance->ChargeEvalJoins());
     }
-    return true;
+    if (k == steps_.size()) return Emit();
+    PlanStep& s = steps_[k];
+    if (s.consumed) return Step(k + 1);
+    obs::ProfileNode* node = EnterNode(k);
+    NodeTimer node_timer(node);
+    const Atom& atom = s.lit->atom;
+    if (atom.is_comparison()) return Filter(k, s, node);
+    if (s.sig == nullptr) {
+      return sqo::NotFoundError("unknown relation in query: " + atom.ToString());
+    }
+    if (!s.lit->positive) {
+      if (Unlabeled(node)) Label(node, "anti-join", "¬" + s.sig->name);
+      ++stats_.negation_checks;
+      SQO_ASSIGN_OR_RETURN(bool exists, Exists(s));
+      return exists ? sqo::Status::Ok() : Advance(k);
+    }
+    switch (s.sig->kind) {
+      case RelationKind::kClass:
+      case RelationKind::kStructure:
+        return ClassStep(k, s, node);
+      case RelationKind::kRelationship:
+      case RelationKind::kAsr:
+        return PairStep(k, s, node);
+      case RelationKind::kMethod:
+        return MethodStep(k, s, node);
+    }
+    return sqo::Status::Ok();
   }
 
-  bool UnifyOidPair(const Atom& atom, sqo::Oid src, sqo::Oid dst) {
-    sqo::Value pair[2] = {sqo::Value::FromOid(src), sqo::Value::FromOid(dst)};
-    for (size_t i = 0; i < 2; ++i) {
-      sqo::Value tmp;
-      const sqo::Value* bound = Resolve(atom.args()[i], env_, &tmp);
-      if (bound != nullptr) {
-        ++stats_.comparisons;
-        if (!bound->Equals(pair[i])) return false;
-      } else {
-        env_.Bind(atom.args()[i].var_name(), pair[i]);
-      }
+  sqo::Status Filter(size_t k, const PlanStep& s, obs::ProfileNode* node) {
+    const Atom& atom = s.lit->atom;
+    if (Unlabeled(node)) Label(node, "filter", atom.ToString());
+    if (!IsBound(s.args[0]) || !IsBound(s.args[1])) {
+      return sqo::InvalidArgumentError("comparison over unbound variables: " +
+                                       atom.ToString() + " (unsafe query)");
     }
-    return true;
+    const sqo::Value& lhs = ValueOf(s.args[0]);
+    const sqo::Value& rhs = ValueOf(s.args[1]);
+    ++stats_.comparisons;
+    bool pass;
+    if (atom.op() == CmpOp::kEq || atom.op() == CmpOp::kNe) {
+      pass = datalog::EvalCmp(atom.op(), lhs.Equals(rhs) ? 0 : 1);
+    } else {
+      auto cmp = lhs.Compare(rhs);
+      if (!cmp.has_value()) {
+        return sqo::InvalidArgumentError("unorderable comparison: " +
+                                         atom.ToString());
+      }
+      pass = datalog::EvalCmp(atom.op(), *cmp);
+    }
+    return pass ? Advance(k) : sqo::Status::Ok();
   }
 
-  /// Existence check for a (possibly partially bound) atom; unbound
-  /// variables act as wildcards and are never bound.
-  sqo::Result<bool> Exists(const Atom& atom, const RelationSignature& sig) {
-    auto matches_row = [&](const ObjectStore::Row& row) {
-      for (size_t i = 0; i < atom.arity(); ++i) {
-        sqo::Value tmp;
-        const sqo::Value* bound = Resolve(atom.args()[i], env_, &tmp);
-        if (bound != nullptr) {
-          ++stats_.comparisons;
-          if (!bound->Equals(row[i])) return false;
-        }
-      }
-      return true;
-    };
-    switch (sig.kind) {
+  /// Existence check for a negated atom: bound arguments must match,
+  /// unbound ones are wildcards, except that a repeated unbound variable
+  /// must take the same value at each occurrence. Never binds.
+  sqo::Result<bool> Exists(const PlanStep& s) {
+    const std::string& name = s.sig->name;
+    const std::vector<ArgSlot>& args = s.args;
+    switch (s.sig->kind) {
       case RelationKind::kClass:
       case RelationKind::kStructure: {
-        sqo::Value tmp;
-        const sqo::Value* oid = Resolve(atom.args()[0], env_, &tmp);
-        if (oid != nullptr) {
-          if (oid->kind() != sqo::ValueKind::kOid) return false;
-          bool attrs_bound = false;
-          for (size_t i = 1; i < atom.arity() && !attrs_bound; ++i) {
-            sqo::Value atmp;
-            attrs_bound = Resolve(atom.args()[i], env_, &atmp) != nullptr;
+        if (IsBound(args[0])) {
+          const sqo::Value& oid = ValueOf(args[0]);
+          if (oid.kind() != sqo::ValueKind::kOid) return false;
+          bool constrained = false;
+          for (size_t i = 1; i < args.size(); ++i) {
+            constrained |= args[i].kind != ArgSlot::kNew;
           }
-          if (!attrs_bound) {
+          if (!constrained) {
             // Pure membership test: no object fetch needed.
-            return store_.IsMember(sig.name, oid->AsOid());
+            return store_.IsMember(name, oid.AsOid());
           }
-          auto row = store_.RowAs(sig.name, oid->AsOid());
+          auto row = store_.RowAs(name, oid.AsOid());
           if (!row.has_value()) return false;
           ++stats_.objects_fetched;
-          return matches_row(*row);
+          return Unify(args, std::move(*row));
         }
         ++stats_.extent_scans;
-        for (sqo::Oid candidate : store_.Extent(sig.name)) {
-          auto row = store_.RowAs(sig.name, candidate);
+        for (sqo::Oid candidate : store_.Extent(name)) {
+          auto row = store_.RowAs(name, candidate);
           ++stats_.objects_fetched;
-          if (matches_row(*row)) return true;
+          if (Unify(args, std::move(*row))) return true;
         }
         return false;
       }
       case RelationKind::kRelationship:
       case RelationKind::kAsr: {
-        sqo::Value stmp, dtmp;
-        const sqo::Value* src = Resolve(atom.args()[0], env_, &stmp);
-        const sqo::Value* dst = Resolve(atom.args()[1], env_, &dtmp);
-        if (src != nullptr && src->kind() != sqo::ValueKind::kOid) return false;
-        if (dst != nullptr && dst->kind() != sqo::ValueKind::kOid) return false;
-        if (src != nullptr) {
-          const auto& nbrs = store_.Neighbors(sig.name, src->AsOid());
+        const bool src_bound = IsBound(args[0]);
+        const bool dst_bound = IsBound(args[1]);
+        if (src_bound && ValueOf(args[0]).kind() != sqo::ValueKind::kOid) {
+          return false;
+        }
+        if (dst_bound && ValueOf(args[1]).kind() != sqo::ValueKind::kOid) {
+          return false;
+        }
+        if (src_bound) {
+          const auto& nbrs = store_.Neighbors(name, ValueOf(args[0]).AsOid());
           stats_.relationship_traversals += nbrs.size();
-          if (dst == nullptr) return !nbrs.empty();
+          if (!dst_bound) return !nbrs.empty();
           for (sqo::Oid n : nbrs) {
-            if (n == dst->AsOid()) return true;
+            if (n == ValueOf(args[1]).AsOid()) return true;
           }
           return false;
         }
-        if (dst != nullptr) {
-          const auto& nbrs = store_.ReverseNeighbors(sig.name, dst->AsOid());
+        if (dst_bound) {
+          const auto& nbrs =
+              store_.ReverseNeighbors(name, ValueOf(args[1]).AsOid());
           stats_.relationship_traversals += nbrs.size();
           return !nbrs.empty();
         }
-        return store_.PairCount(sig.name) > 0;
+        if (args[1].kind != ArgSlot::kRepeat) {
+          return store_.PairCount(name) > 0;
+        }
+        // not r(Y, Y): only a pair from an object to itself matches.
+        const auto& pairs = store_.Pairs(name);
+        stats_.relationship_traversals += pairs.size();
+        for (const auto& [src, dst] : pairs) {
+          if (Unify(args, OidPair(src, dst))) return true;
+        }
+        return false;
       }
       case RelationKind::kMethod: {
-        std::vector<sqo::Value> args;
-        sqo::Value rtmp;
-        const sqo::Value* receiver = Resolve(atom.args()[0], env_, &rtmp);
-        if (receiver == nullptr || receiver->kind() != sqo::ValueKind::kOid) {
+        if (!IsBound(args[0]) ||
+            ValueOf(args[0]).kind() != sqo::ValueKind::kOid) {
           return sqo::UnsupportedError(
               "negated method atom requires a bound receiver");
         }
-        for (size_t i = 1; i + 1 < atom.arity(); ++i) {
-          sqo::Value tmp;
-          const sqo::Value* arg = Resolve(atom.args()[i], env_, &tmp);
-          if (arg == nullptr) {
-            return sqo::UnsupportedError(
-                "negated method atom requires bound arguments");
-          }
-          args.push_back(*arg);
+        std::vector<sqo::Value> inputs;
+        if (!MethodInputs(s, &inputs)) {
+          return sqo::UnsupportedError(
+              "negated method atom requires bound arguments");
         }
         ++stats_.method_invocations;
-        SQO_ASSIGN_OR_RETURN(sqo::Value result, store_.InvokeMethod(
-                                                    sig.name,
-                                                    receiver->AsOid(), args));
-        sqo::Value vtmp;
-        const sqo::Value* expected = Resolve(atom.args().back(), env_, &vtmp);
-        if (expected == nullptr) return true;  // some result always exists
+        SQO_ASSIGN_OR_RETURN(
+            sqo::Value result,
+            store_.InvokeMethod(name, ValueOf(args[0]).AsOid(), inputs));
+        if (!IsBound(args.back())) return true;  // some result always exists
         ++stats_.comparisons;
-        return expected->Equals(result);
+        return ValueOf(args.back()).Equals(result);
       }
     }
     return false;
   }
 
-  /// Finds "membership guards" downstream of plan position `k`: negated
-  /// class/structure literals over the scan variable whose attribute
-  /// arguments are pure wildcards. These evaluate as cheap extent-
-  /// membership pre-filters during the scan — the paper's §5.2 plan that
-  /// "first identifies objects in Person but not in Faculty, then
-  /// retrieves only those instances". Returns (plan position, relation).
-  std::vector<std::pair<size_t, std::string>> FindGuards(
-      size_t k, const std::string& scan_var) const {
-    std::vector<std::pair<size_t, std::string>> guards;
-    for (size_t j = k + 1; j < order_->size(); ++j) {
-      const Literal& lit = query_.body[(*order_)[j]];
-      if (lit.positive || !lit.atom.is_predicate() || lit.atom.args().empty()) {
-        continue;
-      }
-      const RelationSignature* sig =
-          store_.schema().catalog.Find(lit.atom.predicate());
-      if (sig == nullptr || (sig->kind != RelationKind::kClass &&
-                             sig->kind != RelationKind::kStructure)) {
-        continue;
-      }
-      const Term& oid = lit.atom.args()[0];
-      if (!oid.is_variable() || oid.var_name() != scan_var) continue;
-      bool wildcards = true;
-      for (size_t ai = 1; ai < lit.atom.arity(); ++ai) {
-        const Term& t = lit.atom.args()[ai];
-        auto occ = t.is_variable() ? var_occurrences_.find(t.var_name())
-                                   : var_occurrences_.end();
-        if (!t.is_variable() || occ == var_occurrences_.end() ||
-            occ->second != 1) {
-          wildcards = false;
-          break;
-        }
-      }
-      if (wildcards) guards.emplace_back(j, sig->name);
-    }
-    return guards;
-  }
-
-  bool PassesGuards(const std::vector<std::pair<size_t, std::string>>& guards,
-                    sqo::Oid oid) {
-    for (const auto& [pos, rel] : guards) {
+  bool PassesGuards(const PlanStep& s, sqo::Oid oid) {
+    for (const auto& [pos, rel] : s.guards) {
       ++stats_.negation_checks;
       obs::ProfileNode* guard_node = NodeFor(pos);
       if (guard_node != nullptr) ++guard_node->rows_in;
@@ -401,242 +520,240 @@ class Execution {
     return true;
   }
 
-  sqo::Status Step(size_t k) {
-    // Every join step is a budget unit; the charge also polls the deadline
-    // on a stride, so a pathological join order cannot run unbounded.
-    if (ExecutionContext* governance = CurrentContext()) {
-      SQO_RETURN_IF_ERROR(governance->ChargeEvalJoins());
+  /// Joins every candidate OID that passes the step's guards and unifies.
+  sqo::Status Probe(size_t k, const PlanStep& s,
+                    const std::vector<sqo::Oid>& oids) {
+    for (sqo::Oid candidate : oids) {
+      if (!PassesGuards(s, candidate)) continue;
+      auto row = store_.RowAs(s.sig->name, candidate);
+      ++stats_.objects_fetched;
+      if (Unify(s.args, std::move(*row))) SQO_RETURN_IF_ERROR(Advance(k));
     }
-    if (k == order_->size()) return EmitTuple();
-    if (consumed_.count(k) > 0) return Step(k + 1);
-    obs::ProfileNode* node = EnterNode(k);
-    NodeTimer node_timer(node);
-    const Literal& lit = query_.body[(*order_)[k]];
-    const Atom& atom = lit.atom;
+    return sqo::Status::Ok();
+  }
 
-    if (atom.is_comparison()) {
-      LabelNode(node, "filter", atom.ToString());
-      sqo::Value ltmp, rtmp;
-      const sqo::Value* lhs = Resolve(atom.lhs(), env_, &ltmp);
-      const sqo::Value* rhs = Resolve(atom.rhs(), env_, &rtmp);
-      if (lhs == nullptr || rhs == nullptr) {
-        return sqo::InvalidArgumentError(
-            "comparison over unbound variables: " + atom.ToString() +
-            " (unsafe query)");
+  /// Picks a class step's access path on its first binding: an explicit
+  /// index on the first bound indexed attribute, else the adaptive index
+  /// (when the store serves one), else a hash join on the first bound
+  /// attribute, else a scan. Steps at or before the plan's first relation
+  /// access see at most one binding, so they scan instead of building.
+  void ResolveAccess(PlanStep& s, obs::ProfileNode* node) {
+    // Guards report under the scan that consumes them, not in the
+    // pipeline chain.
+    for (const auto& [pos, rel] : s.guards) {
+      if (obs::ProfileNode* guard_node = NodeFor(pos); Unlabeled(guard_node)) {
+        guard_node->op = "guard";
+        guard_node->parent = node != nullptr ? node->id : -1;
       }
-      ++stats_.comparisons;
-      bool pass;
-      if (atom.op() == CmpOp::kEq || atom.op() == CmpOp::kNe) {
-        pass = datalog::EvalCmp(atom.op(), lhs->Equals(*rhs) ? 0 : 1);
-      } else {
-        auto cmp = lhs->Compare(*rhs);
-        if (!cmp.has_value()) {
-          return sqo::InvalidArgumentError("unorderable comparison: " +
-                                           atom.ToString());
-        }
-        pass = datalog::EvalCmp(atom.op(), *cmp);
+    }
+    const RelationSignature& sig = *s.sig;
+    auto settle = [&](Access access, size_t attr, const char* op,
+                      bool index_used) {
+      s.access = access;
+      s.attr = attr;
+      if (Unlabeled(node)) {
+        Label(node, op, sig.name + "." + sig.attributes[attr], index_used);
       }
-      if (!pass) return sqo::Status::Ok();
-      return Advance(k);
+    };
+    for (size_t i = 1; i < s.args.size(); ++i) {
+      if (IsBound(s.args[i]) && store_.HasIndex(sig.name, i)) {
+        return settle(Access::kIndex, i, "index-probe", true);
+      }
     }
-
-    const RelationSignature* sig = store_.schema().catalog.Find(atom.predicate());
-    if (sig == nullptr || sig->arity() != atom.arity()) {
-      return sqo::NotFoundError("unknown relation in query: " + atom.ToString());
+    // Adaptive index: an equality-bound attribute with no explicit index
+    // probes the store's persistent secondary index (built on first use,
+    // delta-maintained on writes) unless the extent is under threshold.
+    for (size_t i = 1; options_.auto_index && i < s.args.size(); ++i) {
+      if (!IsBound(s.args[i])) continue;
+      bool indexed = false;
+      store_.LazyIndexLookup(sig.name, i, ValueOf(s.args[i]),
+                             options_.auto_index_min_extent, &indexed);
+      if (indexed) return settle(Access::kLazyIndex, i, "lazy-index-probe", true);
     }
-
-    if (!lit.positive) {
-      LabelNode(node, "anti-join", "¬" + sig->name);
-      ++stats_.negation_checks;
-      SQO_ASSIGN_OR_RETURN(bool exists, Exists(atom, *sig));
-      if (exists) return sqo::Status::Ok();
-      return Advance(k);
+    for (size_t i = 1; s.amortize && i < s.args.size(); ++i) {
+      if (IsBound(s.args[i])) {
+        return settle(Access::kHashJoin, i, "hash-join", false);
+      }
     }
+    bool keyed = false;
+    for (size_t i = 1; i < s.args.size(); ++i) keyed |= IsBound(s.args[i]);
+    s.access = s.amortize && !keyed ? Access::kSharedScan : Access::kScan;
+    if (Unlabeled(node)) Label(node, "extent-scan", sig.name);
+  }
 
-    switch (sig->kind) {
-      case RelationKind::kClass:
-      case RelationKind::kStructure: {
-        sqo::Value tmp;
-        const sqo::Value* oid = Resolve(atom.args()[0], env_, &tmp);
-        if (oid != nullptr) {
-          LabelNode(node, "oid-lookup", sig->name);
-          if (oid->kind() != sqo::ValueKind::kOid) return sqo::Status::Ok();
-          auto row = store_.RowAs(sig->name, oid->AsOid());
-          if (!row.has_value()) return sqo::Status::Ok();
-          ++stats_.objects_fetched;
-          size_t mark = env_.Mark();
-          if (UnifyRow(atom, *row)) SQO_RETURN_IF_ERROR(Advance(k));
-          env_.Rollback(mark);
-          return sqo::Status::Ok();
-        }
-        // Membership guards let the scan skip excluded objects before
-        // fetching them (§5.2).
-        std::vector<std::pair<size_t, std::string>> guards =
-            FindGuards(k, atom.args()[0].var_name());
-        for (const auto& [pos, rel] : guards) {
-          consumed_.insert(pos);
-          // Guards report under the scan that consumes them, not in the
-          // pipeline chain.
-          if (obs::ProfileNode* guard_node = NodeFor(pos);
-              guard_node != nullptr && guard_node->op.empty()) {
-            guard_node->op = "guard";
-            guard_node->parent = node != nullptr ? node->id : -1;
-          }
-        }
-        auto release_guards = [&]() {
-          for (const auto& [pos, rel] : guards) consumed_.erase(pos);
-        };
-        // Joins every candidate OID that passes the guards and unifies.
-        auto probe_candidates =
-            [&](const std::vector<sqo::Oid>& oids) -> sqo::Status {
-          for (sqo::Oid candidate : oids) {
-            if (!PassesGuards(guards, candidate)) continue;
-            auto row = store_.RowAs(sig->name, candidate);
-            ++stats_.objects_fetched;
-            size_t mark = env_.Mark();
-            if (UnifyRow(atom, *row)) {
-              sqo::Status status = Advance(k);
-              if (!status.ok()) return status;
-            }
-            env_.Rollback(mark);
-          }
-          return sqo::Status::Ok();
-        };
-        // Indexed access on the first bound, indexed attribute.
-        for (size_t i = 1; i < atom.arity(); ++i) {
-          sqo::Value vtmp;
-          const sqo::Value* v = Resolve(atom.args()[i], env_, &vtmp);
-          if (v == nullptr || !store_.HasIndex(sig->name, i)) continue;
-          LabelNode(node, "index-probe", sig->name + "." + sig->attributes[i],
-                    /*index_used=*/true);
-          ++stats_.index_probes;
-          obs::Count("index.probes");
-          const std::vector<sqo::Oid>* oids = store_.IndexLookup(sig->name, i, *v);
-          sqo::Status status =
-              oids != nullptr ? probe_candidates(*oids) : sqo::Status::Ok();
-          release_guards();
-          return status;
-        }
-        // Lazily indexed access: an equality-bound attribute with no
-        // explicit index still probes a hash table — built by the store on
-        // first use and dropped on mutation — instead of scanning the
-        // extent.
-        if (options_.auto_index) {
-          for (size_t i = 1; i < atom.arity(); ++i) {
-            sqo::Value vtmp;
-            const sqo::Value* v = Resolve(atom.args()[i], env_, &vtmp);
-            if (v == nullptr) continue;
-            bool indexed = false;
-            const std::vector<sqo::Oid>* oids = store_.LazyIndexLookup(
-                sig->name, i, *v, options_.auto_index_min_extent, &indexed);
-            if (!indexed) continue;  // extent under threshold: scan instead
-            LabelNode(node, "lazy-index-probe",
-                      sig->name + "." + sig->attributes[i],
-                      /*index_used=*/true);
-            ++stats_.index_probes;
-            obs::Count("index.probes");
-            sqo::Status status =
-                oids != nullptr ? probe_candidates(*oids) : sqo::Status::Ok();
-            release_guards();
-            return status;
-          }
-        }
-        // Extent scan.
-        LabelNode(node, "extent-scan", sig->name);
+  /// Positive class/structure atom. `objects_fetched` stays the logical
+  /// per-binding count on every path (an amortized build charges its
+  /// fetches to each binding that uses it), so SQO before/after
+  /// comparisons do not depend on the access path; `extent_scans` counts
+  /// physical scans and so records the amortization.
+  sqo::Status ClassStep(size_t k, PlanStep& s, obs::ProfileNode* node) {
+    const std::string& name = s.sig->name;
+    if (IsBound(s.args[0])) {
+      if (Unlabeled(node)) Label(node, "oid-lookup", name);
+      const sqo::Value& oid = ValueOf(s.args[0]);
+      if (oid.kind() != sqo::ValueKind::kOid) return sqo::Status::Ok();
+      auto row = store_.RowAs(name, oid.AsOid());
+      if (!row.has_value()) return sqo::Status::Ok();
+      ++stats_.objects_fetched;
+      return Unify(s.args, std::move(*row)) ? Advance(k) : sqo::Status::Ok();
+    }
+    if (s.access == Access::kUnresolved) ResolveAccess(s, node);
+    switch (s.access) {
+      case Access::kUnresolved:
+        break;
+      case Access::kIndex:
+      case Access::kLazyIndex: {
+        ++stats_.index_probes;
+        obs::Count("index.probes");
+        const sqo::Value& key = ValueOf(s.args[s.attr]);
+        bool indexed = false;
+        const std::vector<sqo::Oid>* oids =
+            s.access == Access::kIndex
+                ? store_.IndexLookup(name, s.attr, key)
+                : store_.LazyIndexLookup(name, s.attr, key,
+                                         options_.auto_index_min_extent,
+                                         &indexed);
+        return oids != nullptr ? Probe(k, s, *oids) : sqo::Status::Ok();
+      }
+      case Access::kScan:
         SQO_FAILPOINT("eval.scan");
         ++stats_.extent_scans;
-        sqo::Status status = probe_candidates(store_.Extent(sig->name));
-        release_guards();
-        return status;
-      }
-      case RelationKind::kRelationship:
-      case RelationKind::kAsr: {
-        sqo::Value stmp, dtmp;
-        const sqo::Value* src = Resolve(atom.args()[0], env_, &stmp);
-        const sqo::Value* dst = Resolve(atom.args()[1], env_, &dtmp);
-        if (src != nullptr && src->kind() != sqo::ValueKind::kOid) {
-          return sqo::Status::Ok();
-        }
-        if (dst != nullptr && dst->kind() != sqo::ValueKind::kOid) {
-          return sqo::Status::Ok();
-        }
-        if (src != nullptr) {
-          LabelNode(node, "traverse", sig->name);
-          const auto& nbrs = store_.Neighbors(sig->name, src->AsOid());
-          stats_.relationship_traversals += nbrs.size();
-          for (sqo::Oid n : nbrs) {
-            size_t mark = env_.Mark();
-            if (UnifyOidPair(atom, src->AsOid(), n)) {
-              SQO_RETURN_IF_ERROR(Advance(k));
-            }
-            env_.Rollback(mark);
+        return Probe(k, s, store_.Extent(name));
+      case Access::kHashJoin: {
+        if (!s.built) {
+          SQO_FAILPOINT("eval.scan");
+          ++stats_.extent_scans;
+          for (sqo::Oid candidate : store_.Extent(name)) {
+            if (!PassesGuards(s, candidate)) continue;
+            auto row = store_.RowAs(name, candidate);
+            ++s.build_fetched;
+            sqo::Value key = (*row)[s.attr];
+            s.table[std::move(key)].push_back(std::move(*row));
           }
-          return sqo::Status::Ok();
+          s.built = true;
         }
-        if (dst != nullptr) {
-          LabelNode(node, "reverse-traverse", sig->name);
-          const auto& nbrs = store_.ReverseNeighbors(sig->name, dst->AsOid());
-          stats_.relationship_traversals += nbrs.size();
-          for (sqo::Oid n : nbrs) {
-            size_t mark = env_.Mark();
-            if (UnifyOidPair(atom, n, dst->AsOid())) {
-              SQO_RETURN_IF_ERROR(Advance(k));
-            }
-            env_.Rollback(mark);
-          }
-          return sqo::Status::Ok();
-        }
-        LabelNode(node, "pair-scan", sig->name);
-        const auto& pairs = store_.Pairs(sig->name);
-        stats_.relationship_traversals += pairs.size();
-        for (const auto& [s, d] : pairs) {
-          size_t mark = env_.Mark();
-          if (UnifyOidPair(atom, s, d)) SQO_RETURN_IF_ERROR(Advance(k));
-          env_.Rollback(mark);
+        stats_.objects_fetched += s.build_fetched;
+        auto it = s.table.find(ValueOf(s.args[s.attr]));
+        if (it == s.table.end()) return sqo::Status::Ok();
+        for (const ObjectStore::Row& cand : it->second) {
+          if (Unify(s.args, cand)) SQO_RETURN_IF_ERROR(Advance(k));
         }
         return sqo::Status::Ok();
       }
-      case RelationKind::kMethod: {
-        LabelNode(node, "invoke", sig->name);
-        sqo::Value rtmp;
-        const sqo::Value* receiver = Resolve(atom.args()[0], env_, &rtmp);
-        if (receiver == nullptr) {
-          return sqo::InvalidArgumentError(
-              "method atom with unbound receiver: " + atom.ToString());
-        }
-        if (receiver->kind() != sqo::ValueKind::kOid) return sqo::Status::Ok();
-        std::vector<sqo::Value> args;
-        for (size_t i = 1; i + 1 < atom.arity(); ++i) {
-          sqo::Value atmp;
-          const sqo::Value* arg = Resolve(atom.args()[i], env_, &atmp);
-          if (arg == nullptr) {
-            return sqo::InvalidArgumentError(
-                "method atom with unbound argument: " + atom.ToString());
+      case Access::kSharedScan: {
+        if (!s.built) {
+          SQO_FAILPOINT("eval.scan");
+          ++stats_.extent_scans;
+          for (sqo::Oid candidate : store_.Extent(name)) {
+            if (!PassesGuards(s, candidate)) continue;
+            auto row = store_.RowAs(name, candidate);
+            ++s.build_fetched;
+            if (Unify(s.args, *row)) s.rows.push_back(std::move(*row));
           }
-          args.push_back(*arg);
+          s.built = true;
         }
-        ++stats_.method_invocations;
-        SQO_ASSIGN_OR_RETURN(
-            sqo::Value result,
-            store_.InvokeMethod(sig->name, receiver->AsOid(), args));
-        sqo::Value vtmp;
-        const sqo::Value* expected = Resolve(atom.args().back(), env_, &vtmp);
-        if (expected != nullptr) {
-          ++stats_.comparisons;
-          if (!expected->Equals(result)) return sqo::Status::Ok();
-          return Advance(k);
+        stats_.objects_fetched += s.build_fetched;
+        for (const ObjectStore::Row& cand : s.rows) {
+          Bind(s.args, cand);
+          SQO_RETURN_IF_ERROR(Advance(k));
         }
-        size_t mark = env_.Mark();
-        env_.Bind(atom.args().back().var_name(), result);
-        SQO_RETURN_IF_ERROR(Advance(k));
-        env_.Rollback(mark);
         return sqo::Status::Ok();
       }
     }
     return sqo::Status::Ok();
   }
 
-  sqo::Status EmitTuple() {
+  /// Relationship/ASR atom. A pair scan (neither end bound) keeps the
+  /// pairs that unify when its first binding arrives — a copy of at most
+  /// the pair list, cheap enough that even the first relation access
+  /// builds it — and charges the whole pair set to every binding, like an
+  /// extent scan's fetches.
+  sqo::Status PairStep(size_t k, PlanStep& s, obs::ProfileNode* node) {
+    const std::string& name = s.sig->name;
+    const bool src_bound = IsBound(s.args[0]);
+    const bool dst_bound = IsBound(s.args[1]);
+    if (src_bound && ValueOf(s.args[0]).kind() != sqo::ValueKind::kOid) {
+      return sqo::Status::Ok();
+    }
+    if (dst_bound && ValueOf(s.args[1]).kind() != sqo::ValueKind::kOid) {
+      return sqo::Status::Ok();
+    }
+    if (src_bound) {
+      if (Unlabeled(node)) Label(node, "traverse", name);
+      const sqo::Oid src = ValueOf(s.args[0]).AsOid();
+      const auto& nbrs = store_.Neighbors(name, src);
+      stats_.relationship_traversals += nbrs.size();
+      for (sqo::Oid n : nbrs) {
+        if (Unify(s.args, OidPair(src, n))) SQO_RETURN_IF_ERROR(Advance(k));
+      }
+      return sqo::Status::Ok();
+    }
+    if (dst_bound) {
+      if (Unlabeled(node)) Label(node, "reverse-traverse", name);
+      const sqo::Oid dst = ValueOf(s.args[1]).AsOid();
+      const auto& nbrs = store_.ReverseNeighbors(name, dst);
+      stats_.relationship_traversals += nbrs.size();
+      for (sqo::Oid n : nbrs) {
+        if (Unify(s.args, OidPair(n, dst))) SQO_RETURN_IF_ERROR(Advance(k));
+      }
+      return sqo::Status::Ok();
+    }
+    if (Unlabeled(node)) Label(node, "pair-scan", name);
+    const auto& pairs = store_.Pairs(name);
+    stats_.relationship_traversals += pairs.size();
+    if (!s.built) {
+      for (const auto& pair : pairs) {
+        if (Unify(s.args, OidPair(pair.first, pair.second))) {
+          s.pairs.push_back(pair);
+        }
+      }
+      s.built = true;
+    }
+    for (const auto& [src, dst] : s.pairs) {
+      Bind(s.args, OidPair(src, dst));
+      SQO_RETURN_IF_ERROR(Advance(k));
+    }
+    return sqo::Status::Ok();
+  }
+
+  /// Collects a method atom's argument values (between receiver and
+  /// result); false when one is unbound.
+  bool MethodInputs(const PlanStep& s, std::vector<sqo::Value>* inputs) const {
+    for (size_t i = 1; i + 1 < s.args.size(); ++i) {
+      if (!IsBound(s.args[i])) return false;
+      inputs->push_back(ValueOf(s.args[i]));
+    }
+    return true;
+  }
+
+  sqo::Status MethodStep(size_t k, const PlanStep& s, obs::ProfileNode* node) {
+    const Atom& atom = s.lit->atom;
+    if (Unlabeled(node)) Label(node, "invoke", s.sig->name);
+    if (!IsBound(s.args[0])) {
+      return sqo::InvalidArgumentError("method atom with unbound receiver: " +
+                                       atom.ToString());
+    }
+    const sqo::Value& receiver = ValueOf(s.args[0]);
+    if (receiver.kind() != sqo::ValueKind::kOid) return sqo::Status::Ok();
+    std::vector<sqo::Value> inputs;
+    if (!MethodInputs(s, &inputs)) {
+      return sqo::InvalidArgumentError("method atom with unbound argument: " +
+                                       atom.ToString());
+    }
+    ++stats_.method_invocations;
+    SQO_ASSIGN_OR_RETURN(
+        sqo::Value result,
+        store_.InvokeMethod(s.sig->name, receiver.AsOid(), inputs));
+    const ArgSlot& out = s.args.back();
+    if (IsBound(out)) {
+      ++stats_.comparisons;
+      return ValueOf(out).Equals(result) ? Advance(k) : sqo::Status::Ok();
+    }
+    row_[out.slot] = std::move(result);
+    return Advance(k);
+  }
+
+  sqo::Status Emit() {
     obs::ProfileNode* emit = nullptr;
     if (profile_ != nullptr && emit_node_ >= 0) {
       emit = &profile_->nodes[emit_node_];
@@ -648,15 +765,13 @@ class Execution {
       SQO_RETURN_IF_ERROR(governance->ChargeEvalRows());
     }
     std::vector<sqo::Value> tuple;
-    tuple.reserve(query_.head_args.size());
-    for (const Term& t : query_.head_args) {
-      sqo::Value tmp;
-      const sqo::Value* v = Resolve(t, env_, &tmp);
-      if (v == nullptr) {
-        return sqo::InvalidArgumentError(
-            "projected variable never bound: " + t.ToString());
+    tuple.reserve(head_.size());
+    for (size_t i = 0; i < head_.size(); ++i) {
+      if (!IsBound(head_[i])) {
+        return sqo::InvalidArgumentError("projected variable never bound: " +
+                                         query_.head_args[i].ToString());
       }
-      tuple.push_back(*v);
+      tuple.push_back(ValueOf(head_[i]));
     }
     ++stats_.tuples_emitted;
     if (options_.max_tuples != 0 && stats_.tuples_emitted > options_.max_tuples) {
@@ -674,13 +789,18 @@ class Execution {
   const ObjectStore& store_;
   const Query& query_;
   const EvalOptions& options_;
-  EvalStats& stats_;
-  Env env_;
+  obs::EvalStats& stats_;
   const std::vector<size_t>* order_ = nullptr;
   std::vector<std::vector<sqo::Value>>* out_ = nullptr;
   std::unordered_set<std::vector<sqo::Value>, TupleHash, TupleEq> dedup_;
-  std::map<std::string, int> var_occurrences_;
-  std::set<size_t> consumed_;
+
+  // The binding row: slot i holds variable vars_[i]; bound_ tracks, during
+  // Prepare, which slots are bound at the position being resolved.
+  std::vector<Symbol> vars_;
+  std::vector<sqo::Value> row_;
+  std::vector<bool> bound_;
+  std::vector<PlanStep> steps_;
+  std::vector<ArgSlot> head_;
 
   // EXPLAIN ANALYZE state (all inert when profile_ is null).
   obs::QueryProfile* profile_;
@@ -693,7 +813,7 @@ class Execution {
 }  // namespace
 
 sqo::Result<std::vector<std::vector<sqo::Value>>> Evaluator::Evaluate(
-    const Query& query, EvalStats* stats, const std::vector<size_t>* order,
+    const Query& query, obs::EvalStats* stats, const std::vector<size_t>* order,
     obs::QueryProfile* profile) const {
   obs::Span span("eval.evaluate");
   obs::ScopedTimer timer("eval.evaluate");
@@ -702,14 +822,14 @@ sqo::Result<std::vector<std::vector<sqo::Value>>> Evaluator::Evaluate(
   const auto profile_start = std::chrono::steady_clock::now();
   // Work into a local so only *this* evaluation's counters reach the
   // metrics registry even when the caller accumulates into `stats`.
-  EvalStats local;
+  obs::EvalStats local;
   Plan plan;
   const Plan* plan_ptr = nullptr;
   std::vector<size_t> plan_order;
   if (order != nullptr) {
     plan_order = *order;
   } else {
-    plan = PlanQuery(query, *store_, PlannerOptions{options_.batch});
+    plan = PlanQuery(query, *store_);
     plan_order = plan.order;
     plan_ptr = &plan;
   }
@@ -733,15 +853,8 @@ sqo::Result<std::vector<std::vector<sqo::Value>>> Evaluator::Evaluate(
   std::vector<std::vector<sqo::Value>> out;
   {
     obs::Span exec_span("eval.execute");
-    sqo::Status status;
-    if (options_.batch &&
-        PlanBenefitsFromBatching(*store_, query, plan_order, options_)) {
-      status = ExecuteBatchPlan(*store_, query, options_, local, plan_order,
-                                plan_ptr, profile, &out);
-    } else {
-      Execution exec(*store_, query, options_, local, profile, plan_ptr);
-      status = exec.Run(plan_order, &out);
-    }
+    Execution exec(*store_, query, options_, local, profile, plan_ptr);
+    sqo::Status status = exec.Run(plan_order, &out);
     exec_span.Tag("rows", static_cast<uint64_t>(out.size()));
     if (!status.ok()) {
       if (stats != nullptr) *stats += local;

@@ -7,21 +7,12 @@
 #include "datalog/clause.h"
 #include "engine/object_store.h"
 #include "engine/planner.h"
-#include "engine/statistics.h"
+#include "obs/eval_stats.h"
 #include "obs/profile.h"
 
 namespace sqo::engine {
 
 struct EvalOptions {
-  /// Set-at-a-time batch execution (the default): each plan step consumes
-  /// the whole batch of bindings produced upstream, so unindexed equality
-  /// selections become hash build+probe joins and extent/pair scans are
-  /// shared across the batch instead of repeated per binding. Off falls
-  /// back to the original tuple-at-a-time engine — kept for row-for-row
-  /// differential comparison (both modes produce identical result sets in
-  /// the same order for the same plan).
-  bool batch = true;
-
   /// Deduplicate result tuples (DATALOG set semantics). OQL `select`
   /// without `distinct` would use false.
   bool distinct = true;
@@ -48,12 +39,13 @@ struct EvalOptions {
 };
 
 /// Evaluator for conjunctive DATALOG queries over an ObjectStore, ordered
-/// by the greedy planner. Two execution engines share the entry point:
-/// the default set-at-a-time batch engine (hash build+probe joins for
-/// unindexed equality selections, shared scans, batch anti-joins) and the
-/// tuple-at-a-time fallback (`EvalOptions::batch = false`; index
-/// nested-loop joins). Both fill `EvalStats` with the instrumentation
-/// counters the benchmarks report.
+/// by the greedy planner. One executor runs every plan depth-first over a
+/// flat binding row: per-binding steps (OID lookups, index probes,
+/// traversals, filters, anti-joins, method calls) stream, and steps whose
+/// candidates do not depend on the binding (hash joins, shared extent and
+/// pair scans) build once and are probed by every later binding. Fills
+/// `obs::EvalStats` with the instrumentation counters the benchmarks
+/// report.
 class Evaluator {
  public:
   explicit Evaluator(const ObjectStore* store, EvalOptions options = {})
@@ -69,7 +61,7 @@ class Evaluator {
   /// estimates when the planner chose the order. Profiling costs two
   /// clock reads per join step, so it is opt-in per evaluation.
   sqo::Result<std::vector<std::vector<sqo::Value>>> Evaluate(
-      const datalog::Query& query, EvalStats* stats,
+      const datalog::Query& query, obs::EvalStats* stats,
       const std::vector<size_t>* order = nullptr,
       obs::QueryProfile* profile = nullptr) const;
 

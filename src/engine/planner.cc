@@ -43,45 +43,9 @@ struct StepEstimate {
   std::string description;
 };
 
-/// True if body literal `j` is a pure membership guard for `scan_var`: a
-/// negated class/structure atom over that variable whose other arguments
-/// occur nowhere else. Mirrors the evaluator's guard detection.
-bool IsMembershipGuard(const Query& query, size_t j, const std::string& scan_var,
-                       const ObjectStore& store, std::string* relation) {
-  const Literal& lit = query.body[j];
-  if (lit.positive || !lit.atom.is_predicate() || lit.atom.args().empty()) {
-    return false;
-  }
-  const RelationSignature* sig = store.schema().catalog.Find(lit.atom.predicate());
-  if (sig == nullptr || (sig->kind != RelationKind::kClass &&
-                         sig->kind != RelationKind::kStructure)) {
-    return false;
-  }
-  const Term& oid = lit.atom.args()[0];
-  if (!oid.is_variable() || oid.var_name() != scan_var) return false;
-  for (size_t ai = 1; ai < lit.atom.arity(); ++ai) {
-    const Term& t = lit.atom.args()[ai];
-    if (!t.is_variable()) return false;
-    for (const Term& h : query.head_args) {
-      if (h.is_variable() && h.var_name() == t.var_name()) return false;
-    }
-    for (size_t other = 0; other < query.body.size(); ++other) {
-      if (other == j) continue;
-      std::vector<std::string> vars;
-      query.body[other].atom.CollectVariables(&vars);
-      for (const std::string& v : vars) {
-        if (v == t.var_name()) return false;
-      }
-    }
-  }
-  *relation = sig->name;
-  return true;
-}
-
 StepEstimate EstimateLiteral(const Literal& lit, const Query& query, size_t index,
                              const std::set<std::string>& bound,
-                             const ObjectStore& store,
-                             const PlannerOptions& options, double card) {
+                             const ObjectStore& store, double card) {
   StepEstimate est;
   const auto& atom = lit.atom;
 
@@ -191,11 +155,11 @@ StepEstimate EstimateLiteral(const Literal& lit, const Query& query, size_t inde
               0.05 * n_guards;
           est.description = "index probe " + sig->name + "." +
                             sig->attributes[indexed_pos];
-        } else if (options.batch && bound_attrs > 0) {
-          // Batch hash join: the evaluator builds one hash table over the
-          // extent (amortized across the whole input batch) and probes it
-          // once per binding, so the per-binding work collapses from a
-          // full scan to build-share + probe.
+        } else if (bound_attrs > 0) {
+          // Hash join: the evaluator builds one hash table over the extent
+          // (amortized across every binding that reaches the step) and
+          // probes it once per binding, so the per-binding work collapses
+          // from a full scan to build-share + probe.
           est.cost = extent * guard_sel / std::max(1.0, card) + 1.0 +
                      0.05 * n_guards;
           est.fanout =
@@ -204,8 +168,7 @@ StepEstimate EstimateLiteral(const Literal& lit, const Query& query, size_t inde
           if (n_guards > 0) est.description += " (guarded)";
         } else {
           est.cost = extent * guard_sel + 0.05 * n_guards * extent;
-          est.fanout =
-              extent * guard_sel * std::pow(kEqSelectivity, bound_attrs);
+          est.fanout = extent * guard_sel;
           est.description = "extent scan " + sig->name;
           if (n_guards > 0) est.description += " (guarded)";
         }
@@ -255,6 +218,37 @@ StepEstimate EstimateLiteral(const Literal& lit, const Query& query, size_t inde
 
 }  // namespace
 
+bool IsMembershipGuard(const Query& query, size_t j, const std::string& scan_var,
+                       const ObjectStore& store, std::string* relation) {
+  const Literal& lit = query.body[j];
+  if (lit.positive || !lit.atom.is_predicate() || lit.atom.args().empty()) {
+    return false;
+  }
+  const RelationSignature* sig = store.schema().catalog.Find(lit.atom.predicate());
+  if (sig == nullptr || (sig->kind != RelationKind::kClass &&
+                         sig->kind != RelationKind::kStructure)) {
+    return false;
+  }
+  const Term& oid = lit.atom.args()[0];
+  if (!oid.is_variable() || oid.var_name() != scan_var) return false;
+  // Each attribute variable must occur once in the whole query, repeats
+  // inside this atom included: `not c(oid: X, a: A, b: A)` constrains
+  // a = b, so its A is no wildcard.
+  auto occurrences = [&](const Term& var) {
+    auto n = std::count(query.head_args.begin(), query.head_args.end(), var);
+    for (const Literal& other : query.body) {
+      n += std::count(other.atom.args().begin(), other.atom.args().end(), var);
+    }
+    return n;
+  };
+  for (size_t ai = 1; ai < lit.atom.arity(); ++ai) {
+    const Term& t = lit.atom.args()[ai];
+    if (!t.is_variable() || occurrences(t) != 1) return false;
+  }
+  *relation = sig->name;
+  return true;
+}
+
 std::string Plan::ToString() const {
   std::string out = sqo::StrFormat("plan cost=%.1f card=%.1f\n", cost, cardinality);
   for (size_t i = 0; i < steps.size(); ++i) {
@@ -264,7 +258,7 @@ std::string Plan::ToString() const {
 }
 
 Plan PlanQuery(const Query& query, const ObjectStore& store,
-               const PlannerOptions& options) {
+               const PlannerOptions& /*options*/) {
   obs::Span span("eval.plan");
   // PlanQuery returns a plain Plan, so governance violations latch on the
   // current context and surface at the evaluator's boundary check.
@@ -297,7 +291,7 @@ Plan PlanQuery(const Query& query, const ObjectStore& store,
     for (size_t i = 0; i < n; ++i) {
       if (placed[i]) continue;
       StepEstimate est =
-          EstimateLiteral(query.body[i], query, i, bound, store, options, card);
+          EstimateLiteral(query.body[i], query, i, bound, store, card);
       if (!est.placeable) continue;
       // Rank by the work this step adds now plus the growth it causes.
       const double score = card * est.cost + card * est.fanout;

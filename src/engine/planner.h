@@ -32,11 +32,9 @@ struct Plan {
 };
 
 struct PlannerOptions {
-  /// Price selections for the set-at-a-time batch evaluator: an
-  /// equality-bound attribute with no explicit index becomes a hash
-  /// build+probe join — one pass over the extent amortized across the
-  /// input batch plus one probe per binding — instead of a per-binding
-  /// extent scan. Off reproduces the tuple-at-a-time nested-loop prices.
+  /// Unread: there is one executor and one pricing for it (hash joins for
+  /// equality-bound attributes with no explicit index). Kept only so that
+  /// existing `PlannerOptions{true}` call sites still compile.
   bool batch = false;
 };
 
@@ -55,6 +53,18 @@ Plan PlanQuery(const datalog::Query& query, const ObjectStore& store,
 inline Plan PlanQuery(const datalog::Query& query, const ObjectStore& store) {
   return PlanQuery(query, store, PlannerOptions{});
 }
+
+/// True if body literal `j` is a membership guard for `scan_var`: a negated
+/// class/structure atom over that variable whose other arguments are
+/// variables occurring exactly once in the whole query (head included). A
+/// guard is a pure extent-membership test, so the scan that binds
+/// `scan_var` checks it before fetching a candidate (§5.2's extent
+/// difference) and the planner prices it as nearly free. Sets `relation` to
+/// the excluded relation on success. The planner and the evaluator share
+/// this one test.
+bool IsMembershipGuard(const datalog::Query& query, size_t j,
+                       const std::string& scan_var, const ObjectStore& store,
+                       std::string* relation);
 
 }  // namespace sqo::engine
 

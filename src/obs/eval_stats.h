@@ -14,8 +14,7 @@ class MetricsRegistry;
 /// work, method invocations — and the numbers EXPERIMENTS.md reports.
 ///
 /// Lives in obs (not engine) so the optimizer pipeline can carry per-
-/// alternative evaluation counters without depending on the engine;
-/// `sqo::engine::EvalStats` remains an alias.
+/// alternative evaluation counters without depending on the engine.
 struct EvalStats {
   uint64_t objects_fetched = 0;          // class/struct rows materialized
   uint64_t extent_scans = 0;             // full extent enumerations started

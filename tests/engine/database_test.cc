@@ -59,12 +59,12 @@ TEST_F(DatabaseTest, StatsAccumulateAcrossRuns) {
   workload::GeneratorConfig config;
   config.n_students = 10;
   ASSERT_TRUE(workload::PopulateUniversity(config, *pipeline_, db_.get()).ok());
-  EvalStats stats;
+  obs::EvalStats stats;
   ASSERT_TRUE(db_->Run(ParseQ("q(X) :- faculty(oid: X)."), &stats).ok());
   const uint64_t first = stats.objects_fetched;
   ASSERT_TRUE(db_->Run(ParseQ("q(X) :- faculty(oid: X)."), &stats).ok());
   EXPECT_EQ(stats.objects_fetched, 2 * first);
-  EvalStats other;
+  obs::EvalStats other;
   other += stats;
   EXPECT_EQ(other.objects_fetched, stats.objects_fetched);
   EXPECT_NE(stats.ToString().find("fetched="), std::string::npos);

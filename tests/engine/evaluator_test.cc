@@ -36,7 +36,7 @@ class EvaluatorTest : public ::testing::Test {
   }
 
   std::vector<std::vector<Value>> Run(const std::string& text,
-                                      EvalStats* stats = nullptr) {
+                                      obs::EvalStats* stats = nullptr) {
     auto rows = db_->Run(ParseQ(text), stats);
     EXPECT_TRUE(rows.ok()) << rows.status().ToString();
     return rows.ok() ? *rows : std::vector<std::vector<Value>>{};
@@ -77,7 +77,7 @@ TEST_F(EvaluatorTest, ComparisonFiltersRows) {
 }
 
 TEST_F(EvaluatorTest, SelectionPushdownUsesKeyIndex) {
-  EvalStats stats;
+  obs::EvalStats stats;
   auto rows = Run("q(X) :- student(oid: X, name: N), N = \"john\".", &stats);
   EXPECT_EQ(rows.size(), 1u);
   EXPECT_EQ(stats.index_probes, 1u);
@@ -125,7 +125,7 @@ TEST_F(EvaluatorTest, NegatedClassAtomAntiJoin) {
 }
 
 TEST_F(EvaluatorTest, MembershipGuardSkipsFetches) {
-  EvalStats guarded, unguarded;
+  obs::EvalStats guarded, unguarded;
   Run("q(X) :- person(oid: X), not faculty(oid: X).", &guarded);
   Run("q(X) :- person(oid: X).", &unguarded);
   // With the guard, faculty members are never fetched.
@@ -141,7 +141,7 @@ TEST_F(EvaluatorTest, NegatedRelationshipAtom) {
 
 TEST_F(EvaluatorTest, DistinctDeduplicates) {
   // Ages repeat across persons; distinct collapses them.
-  EvalStats stats;
+  obs::EvalStats stats;
   auto rows = Run("q(A) :- person(oid: X, age: A).", &stats);
   EXPECT_LT(rows.size(), stats.tuples_emitted);
   EXPECT_EQ(rows.size(), stats.results);
@@ -151,7 +151,7 @@ TEST_F(EvaluatorTest, BagSemanticsWhenDistinctOff) {
   EvalOptions options;
   options.distinct = false;
   Evaluator evaluator(&db_->store(), options);
-  EvalStats stats;
+  obs::EvalStats stats;
   auto rows = evaluator.Evaluate(ParseQ("q(A) :- person(oid: X, age: A)."),
                                  &stats);
   ASSERT_TRUE(rows.ok());

@@ -127,7 +127,7 @@ TEST_F(LazyIndexTest, EqualitySelectionUsesLazyIndexInsteadOfScan) {
   EvalOptions indexed;
   EvalOptions linear;
   linear.auto_index = false;
-  EvalStats stats_indexed, stats_linear;
+  obs::EvalStats stats_indexed, stats_linear;
   auto rows_indexed = db_->Run(ParseQ(text), &stats_indexed, indexed);
   auto rows_linear = db_->Run(ParseQ(text), &stats_linear, linear);
   ASSERT_TRUE(rows_indexed.ok());

@@ -4,6 +4,7 @@
 
 #include "datalog/parser.h"
 #include "engine/database.h"
+#include "eval_corpus.h"
 #include "workload/university.h"
 
 namespace sqo::engine {
@@ -123,6 +124,23 @@ TEST_F(PlannerTest, PlanToStringListsSteps) {
   std::string s = plan.ToString();
   EXPECT_NE(s.find("extent scan person"), std::string::npos);
   EXPECT_NE(s.find("filter"), std::string::npos);
+}
+
+TEST_F(PlannerTest, PlanStepsAreWhatTheEvaluatorRuns) {
+  // `\plan` prints PlanQuery's steps; a profiled evaluation labels each of
+  // its nodes with the step it executed. Over the differential corpus the
+  // two must agree, so the printed plan is the plan that runs.
+  for (const char* text : kEvalCorpus) {
+    const datalog::Query q = ParseQ(text);
+    const Plan plan = PlanQuery(q, db_->store());
+    auto run = db_->ProfileQuery(q);
+    ASSERT_TRUE(run.ok()) << text << ": " << run.status().ToString();
+    std::vector<std::string> details;
+    for (const obs::ProfileNode& node : run->profile.nodes) {
+      if (node.op != "emit") details.push_back(node.detail);
+    }
+    EXPECT_EQ(plan.steps, details) << text;
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
-#include "engine/statistics.h"
+#include "obs/eval_stats.h"
 
 #include <gtest/gtest.h>
 
-namespace sqo::engine {
+namespace sqo::obs {
 namespace {
 
 EvalStats MakeStats(uint64_t base) {
@@ -64,4 +64,4 @@ TEST(EvalStatsTest, ToStringNamesEveryCounter) {
 }
 
 }  // namespace
-}  // namespace sqo::engine
+}  // namespace sqo::obs

@@ -1,13 +1,13 @@
 // Property suite: for a corpus of OQL queries, every rewriting the
 // optimizer produces must return exactly the same answer set as the
-// original — the defining property of *semantic* query optimization. Runs
+// original — the defining property of *semantic* query optimization — and
+// the original's answers must equal the naive reference evaluator's. Runs
 // as a parameterized sweep over queries × generator seeds.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "engine/database.h"
+#include "reference_eval.h"
 #include "workload/university.h"
 
 namespace sqo {
@@ -79,21 +79,15 @@ TEST_P(EquivalenceSweep, AllRewritingsPreserveAnswers) {
   auto result = pipeline->OptimizeText(c.oql);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-  auto canonical = [](std::vector<std::vector<Value>> rows) {
-    std::vector<std::string> rendered;
-    rendered.reserve(rows.size());
-    for (const auto& row : rows) {
-      std::string s;
-      for (const Value& v : row) s += v.ToString() + "|";
-      rendered.push_back(std::move(s));
-    }
-    std::sort(rendered.begin(), rendered.end());
-    return rendered;
-  };
-
   auto rows_orig = db.Run(result->original_datalog);
   ASSERT_TRUE(rows_orig.ok()) << rows_orig.status().ToString();
-  auto expected = canonical(*rows_orig);
+  auto expected = engine::SortedBag(*rows_orig);
+  auto reference =
+      engine::ReferenceEvaluate(db.store(), result->original_datalog);
+  ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+  EXPECT_EQ(expected, engine::SortedBag(*reference))
+      << c.label << " seed " << seed << ": the evaluator disagrees with the "
+      << "reference evaluator\n" << result->original_datalog.ToString();
 
   if (result->contradiction) {
     // A detected contradiction must mean the query is genuinely empty.
@@ -107,7 +101,7 @@ TEST_P(EquivalenceSweep, AllRewritingsPreserveAnswers) {
     ASSERT_TRUE(rows_alt.ok())
         << c.label << ": " << rows_alt.status().ToString() << "\n"
         << alt.datalog.ToString();
-    EXPECT_EQ(canonical(*rows_alt), expected)
+    EXPECT_EQ(engine::SortedBag(*rows_alt), expected)
         << c.label << " seed " << seed << "\nrewriting: "
         << alt.datalog.ToString();
   }

@@ -43,7 +43,7 @@ TEST_F(PaperExamplesTest, Section51ContradictionDetection) {
   EXPECT_NE(result.contradiction_reason.find("> 3000"), std::string::npos)
       << result.contradiction_reason;
   // Cross-check with the engine: the query really is empty.
-  engine::EvalStats stats;
+  obs::EvalStats stats;
   auto rows = db_->Run(result.original_datalog, &stats);
   ASSERT_TRUE(rows.ok());
   EXPECT_TRUE(rows->empty());
@@ -76,7 +76,7 @@ TEST_F(PaperExamplesTest, Section52ScopeReduction) {
   EXPECT_TRUE(rendered) << best.oql.ToString();
 
   // Equivalence + the claimed benefit: fewer objects fetched.
-  engine::EvalStats before, after;
+  obs::EvalStats before, after;
   auto rows_before = db_->Run(result.original_datalog, &before);
   auto rows_after = db_->Run(best.datalog, &after);
   ASSERT_TRUE(rows_before.ok() && rows_after.ok());
@@ -132,7 +132,7 @@ TEST_F(PaperExamplesTest, Section53JoinEliminationViaKey) {
   EXPECT_EQ(best.oql.select_list[0].kind, oql::Expr::Kind::kCollection);
 
   // Equivalence + benefit: fewer object fetches.
-  engine::EvalStats before, after;
+  obs::EvalStats before, after;
   auto rows_before = db_->Run(result.original_datalog, &before);
   auto rows_after = db_->Run(best.datalog, &after);
   ASSERT_TRUE(rows_before.ok() && rows_after.ok());
@@ -166,7 +166,7 @@ TEST_F(PaperExamplesTest, Section54AsrJoinElimination) {
   // The paper's Q': student atom + asr atom + the name restriction.
   EXPECT_EQ(folded->datalog.body.size(), 3u) << folded->datalog.ToString();
 
-  engine::EvalStats before, after;
+  obs::EvalStats before, after;
   auto rows_before = db_->Run(result.original_datalog, &before);
   auto rows_after = db_->Run(folded->datalog, &after);
   ASSERT_TRUE(rows_before.ok() && rows_after.ok());
@@ -193,7 +193,7 @@ TEST_F(PaperExamplesTest, Section54AsrJoinIntroduction) {
   }
   ASSERT_NE(q1_prime, nullptr) << "§5.4 Q1' missing";
 
-  engine::EvalStats before, after;
+  obs::EvalStats before, after;
   auto rows_before = db_->Run(result.original_datalog, &before);
   auto rows_after = db_->Run(q1_prime->datalog, &after);
   ASSERT_TRUE(rows_before.ok() && rows_after.ok());

@@ -1,8 +1,10 @@
 // Randomized equivalence fuzzing: generate syntactically valid OQL queries
 // from a small grammar over the university schema, optimize each, and
 // check that every produced rewriting returns exactly the original answer
-// set. Complements the curated corpus in equivalence_property_test.cc with
-// breadth: random join chains, restrictions, negations and projections.
+// set, and that the original's answers equal the naive reference
+// evaluator's. Complements the curated corpus in
+// equivalence_property_test.cc with breadth: random join chains,
+// restrictions, negations and projections.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +12,7 @@
 #include <random>
 
 #include "engine/database.h"
+#include "reference_eval.h"
 #include "workload/university.h"
 
 namespace sqo {
@@ -195,20 +198,15 @@ TEST_P(RandomQuerySweep, RewritingsPreserveAnswers) {
     auto result = pipeline->OptimizeText(oql);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
 
-    auto canonical = [](std::vector<std::vector<Value>> rows) {
-      std::vector<std::string> out;
-      for (const auto& row : rows) {
-        std::string s;
-        for (const Value& v : row) s += v.ToString() + "|";
-        out.push_back(std::move(s));
-      }
-      std::sort(out.begin(), out.end());
-      return out;
-    };
-
     auto rows_orig = db->Run(result->original_datalog);
     ASSERT_TRUE(rows_orig.ok()) << rows_orig.status().ToString();
-    auto expected = canonical(*rows_orig);
+    auto expected = engine::SortedBag(*rows_orig);
+    auto reference =
+        engine::ReferenceEvaluate(db->store(), result->original_datalog);
+    ASSERT_TRUE(reference.ok()) << reference.status().ToString();
+    EXPECT_EQ(expected, engine::SortedBag(*reference))
+        << "the evaluator disagrees with the reference evaluator\n"
+        << result->original_datalog.ToString();
 
     if (result->contradiction) {
       EXPECT_TRUE(expected.empty()) << "claimed contradiction has answers";
@@ -218,7 +216,7 @@ TEST_P(RandomQuerySweep, RewritingsPreserveAnswers) {
       auto rows = db->Run(alt.datalog);
       ASSERT_TRUE(rows.ok())
           << rows.status().ToString() << "\n" << alt.datalog.ToString();
-      EXPECT_EQ(canonical(*rows), expected) << alt.datalog.ToString();
+      EXPECT_EQ(engine::SortedBag(*rows), expected) << alt.datalog.ToString();
     }
   }
 }
