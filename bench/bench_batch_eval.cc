@@ -9,8 +9,9 @@
 //               every step streams per binding.
 //  MutationMix  interleaves attribute updates + relationship churn with a
 //               selection served by the lazily built persistent index.
-//               Exports `full_rebuilds` / `delta_applies` measured after a
-//               warmup query has built the index: delta maintenance keeps
+//               Exports `full_rebuilds` and `delta_applies` (index delta
+//               applies per attribute update, ~1) measured after a warmup
+//               query has built the index: delta maintenance keeps
 //               `full_rebuilds` at 0 where clear-on-write invalidation
 //               used to rebuild on every iteration.
 //
@@ -130,8 +131,10 @@ BENCHMARK(BM_BatchEval_PathJoin_Batch);
 /// Mutation-heavy mix: each iteration updates one student's age, toggles
 /// one `takes` pair, and runs the indexed selection. A warmup query before
 /// the timed loop builds the lazy index; the exported counters then show
-/// whether mutations delta-apply (`delta_applies` grows, `full_rebuilds`
-/// stays 0) or invalidate (`full_rebuilds` grows with every iteration).
+/// whether mutations delta-apply (`delta_applies` per age update stays ~1,
+/// `full_rebuilds` stays 0) or invalidate (`full_rebuilds` grows with every
+/// iteration). Both are independent of how many iterations the host's
+/// speed allows.
 void BM_BatchEval_MutationMix_Batch(benchmark::State& state) {
   // Private world: this bench mutates the store.
   static World* private_world = new World(World::Make(JoinConfig()));
@@ -203,8 +206,10 @@ void BM_BatchEval_MutationMix_Batch(benchmark::State& state) {
   }
   state.counters["full_rebuilds"] = benchmark::Counter(static_cast<double>(
       metrics.CounterValue("index.full_rebuilds")));
-  state.counters["delta_applies"] = benchmark::Counter(static_cast<double>(
-      metrics.CounterValue("index.delta_applies")));
+  // Per age update: the relationship churn touches no secondary index.
+  state.counters["delta_applies"] = benchmark::Counter(
+      static_cast<double>(metrics.CounterValue("index.delta_applies")) /
+      static_cast<double>(std::max<size_t>(tick, 1)));
 }
 
 BENCHMARK(BM_BatchEval_MutationMix_Batch);

@@ -126,83 +126,34 @@ std::string Query::ToString() const {
   return name + "(" + StrJoin(args, ", ") + ") :- " + StrJoin(lits, ", ") + ".";
 }
 
-std::string Query::CanonicalKey() const {
-  // Pass 1: order body literals by a name-blind shape.
-  auto shape = [](const Literal& lit) {
-    std::string s = lit.positive ? "+" : "-";
-    if (lit.atom.is_comparison()) {
-      s += "cmp";
-      s += CmpOpSymbol(lit.atom.op());
-    } else {
-      s += lit.atom.predicate();
-      s += "/" + std::to_string(lit.atom.arity());
-    }
-    for (const Term& t : lit.atom.args()) {
-      s += t.is_variable() ? "|V" : "|" + t.ToString();
-    }
-    return s;
-  };
-  std::vector<size_t> order(body.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<std::string> shapes;
-  shapes.reserve(body.size());
-  for (const Literal& lit : body) shapes.push_back(shape(lit));
-  std::stable_sort(order.begin(), order.end(),
-                   [&](size_t a, size_t b) { return shapes[a] < shapes[b]; });
-
-  // Pass 2: canonical numbering by first occurrence over head, then ordered
-  // body.
-  std::map<std::string, std::string> canon;
-  auto canon_name = [&](const std::string& v) -> const std::string& {
-    auto it = canon.find(v);
-    if (it == canon.end()) {
-      it = canon.emplace(v, "$" + std::to_string(canon.size())).first;
-    }
-    return it->second;
-  };
-  auto render_term = [&](const Term& t) {
-    return t.is_variable() ? canon_name(t.var_name()) : t.ToString();
-  };
-  auto render_literal = [&](const Literal& lit) {
-    std::string s = lit.positive ? "" : "not ";
-    if (lit.atom.is_comparison()) {
-      s += render_term(lit.atom.lhs()) + std::string(CmpOpSymbol(lit.atom.op())) +
-           render_term(lit.atom.rhs());
-    } else {
-      s += lit.atom.predicate() + "(";
-      for (size_t i = 0; i < lit.atom.arity(); ++i) {
-        if (i > 0) s += ",";
-        s += render_term(lit.atom.args()[i]);
-      }
-      s += ")";
-    }
-    return s;
-  };
-
-  std::string key = "(";
-  for (size_t i = 0; i < head_args.size(); ++i) {
-    if (i > 0) key += ",";
-    key += render_term(head_args[i]);
-  }
-  key += ")<-";
-  std::vector<std::string> rendered;
-  rendered.reserve(body.size());
-  for (size_t idx : order) rendered.push_back(render_literal(body[idx]));
-  // Re-sort after numbering for stability when shapes tie.
-  std::sort(rendered.begin(), rendered.end());
-  key += StrJoin(rendered, ";");
-  return key;
-}
-
 sqo::Fingerprint128 Query::CanonicalFingerprint() const {
   constexpr uint64_t kFnv = 1099511628211ull;
   constexpr uint64_t kVarShapeTag = 0x5611aa17ull;
   constexpr uint64_t kCmpTag = 0xc011aa50ull;
 
-  // Pass 1: order body literals by a name-blind shape hash — the hashed
-  // analogue of CanonicalKey's shape string. Literals with equal shapes
-  // keep their relative body order (stable sort), exactly as the string
-  // version does.
+  // `=` and `!=` are symmetric, so their two operands are taken in sorted
+  // order (for the shape and for the rendering alike): `Z = W` and `W = Z`
+  // are one canonical literal. The other operators keep their operand
+  // order — `X < Y` and `Y < X` differ.
+  auto symmetric = [](const Literal& lit) {
+    return lit.atom.is_comparison() &&
+           (lit.atom.op() == CmpOp::kEq || lit.atom.op() == CmpOp::kNe);
+  };
+  auto fold_args = [&](const Literal& lit, const auto& render,
+                       const auto& append) {
+    const std::vector<Term>& args = lit.atom.args();
+    if (symmetric(lit)) {
+      const uint64_t lhs = render(args[0]);
+      const uint64_t rhs = render(args[1]);
+      append(std::min(lhs, rhs));
+      append(std::max(lhs, rhs));
+      return;
+    }
+    for (const Term& t : args) append(render(t));
+  };
+
+  // Pass 1: order body literals by a name-blind shape hash. Literals with
+  // equal shapes keep their relative body order (stable sort).
   auto shape_hash = [&](const Literal& lit) {
     uint64_t h = lit.positive ? 0x2b : 0x2d;
     if (lit.atom.is_comparison()) {
@@ -212,10 +163,13 @@ sqo::Fingerprint128 Query::CanonicalFingerprint() const {
       h = h * kFnv + lit.atom.predicate_symbol().hash();
       h = h * kFnv + lit.atom.arity();
     }
-    for (const Term& t : lit.atom.args()) {
-      h = h * kFnv +
-          (t.is_variable() ? kVarShapeTag : sqo::Mix64(t.constant().Hash()));
-    }
+    fold_args(
+        lit,
+        [&](const Term& t) {
+          return t.is_variable() ? kVarShapeTag
+                                 : sqo::Mix64(t.constant().Hash());
+        },
+        [&](uint64_t a) { h = h * kFnv + a; });
     return h;
   };
   std::vector<size_t> order(body.size());
@@ -226,8 +180,11 @@ sqo::Fingerprint128 Query::CanonicalFingerprint() const {
   std::stable_sort(order.begin(), order.end(),
                    [&](size_t a, size_t b) { return shapes[a] < shapes[b]; });
 
-  // Pass 2: canonical numbering by first occurrence over head, then ordered
-  // body; each variable renders as its dense canonical index.
+  // Pass 2: canonical numbering by first occurrence over the head, then the
+  // ordered predicate literals, then the ordered comparisons; each variable
+  // renders as its dense canonical index. Numbering the predicate literals
+  // first means the way round a comparison is written does not decide which
+  // of its variables is numbered first.
   std::unordered_map<Symbol, uint64_t, SymbolHash> canon;
   auto render_term = [&](const Term& t) -> uint64_t {
     if (!t.is_variable()) return sqo::Mix64(t.constant().Hash()) | 1;
@@ -248,7 +205,7 @@ sqo::Fingerprint128 Query::CanonicalFingerprint() const {
     } else {
       b.Append(lit.atom.predicate_symbol().hash());
     }
-    for (const Term& t : lit.atom.args()) b.Append(render_term(t));
+    fold_args(lit, render_term, [&](uint64_t a) { b.Append(a); });
     return b.fingerprint();
   };
 
@@ -257,9 +214,14 @@ sqo::Fingerprint128 Query::CanonicalFingerprint() const {
   for (const Term& t : head_args) fb.Append(render_term(t));
   std::vector<sqo::Fingerprint128> rendered;
   rendered.reserve(body.size());
-  for (size_t idx : order) rendered.push_back(render_literal(body[idx]));
-  // Re-sort after numbering for stability when shapes tie (mirrors the
-  // rendered-string sort in CanonicalKey).
+  for (bool comparisons : {false, true}) {
+    for (size_t idx : order) {
+      if (body[idx].atom.is_comparison() == comparisons) {
+        rendered.push_back(render_literal(body[idx]));
+      }
+    }
+  }
+  // Sort after numbering so literals whose shapes tie fold in one order.
   std::sort(rendered.begin(), rendered.end());
   for (const sqo::Fingerprint128& f : rendered) {
     fb.Append(f.lo);

@@ -82,18 +82,14 @@ struct Query {
   /// `q(Name) :- student(X, Name), Age < 30.`
   std::string ToString() const;
 
-  /// A canonical key for duplicate detection among equivalent rewritings:
-  /// body literals are sorted under a canonical variable numbering that is
-  /// insensitive to variable names and body order. Two queries with equal
-  /// keys are syntactically identical up to renaming and reordering (the
-  /// converse need not hold for pathological self-similar bodies).
-  std::string CanonicalKey() const;
-
-  /// 128-bit hash of the canonical form, computed without materializing the
-  /// key string. Same invariance as CanonicalKey — insensitive to variable
-  /// names and body order — so it serves as the BFS dedup key and the
-  /// consequence-cache key on the optimizer's hot path (see DESIGN.md for
-  /// the soundness argument).
+  /// 128-bit hash of a canonical form for duplicate detection among
+  /// equivalent rewritings: body literals are ordered under a canonical
+  /// variable numbering that is insensitive to variable names, body order
+  /// and the operand order of `=` and `!=`. Two queries with equal
+  /// fingerprints are (up to hash collision) syntactically identical up to
+  /// renaming, reordering and mirrored (dis)equalities; the converse need
+  /// not hold for pathological self-similar bodies. The BFS dedup key on
+  /// the optimizer's hot path (see DESIGN.md for the soundness argument).
   sqo::Fingerprint128 CanonicalFingerprint() const;
 
   /// Structural hash consistent with operator== (name, head args, body in

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <deque>
 #include <functional>
+#include <numeric>
 #include <set>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/context.h"
@@ -43,17 +43,47 @@ std::set<std::string> LiteralVars(const Literal& lit) {
   return std::set<std::string>(v.begin(), v.end());
 }
 
-/// Returns the solver view of a query: its positive comparison atoms.
-solver::ConstraintSet QueryConstraints(const Query& query) {
+/// Returns the solver view of a query: its positive comparison atoms,
+/// leaving out `body[skip]` when `skip` is a body index.
+solver::ConstraintSet QueryConstraints(const Query& query,
+                                       size_t skip = SIZE_MAX) {
   solver::ConstraintSet cs;
-  cs.AddComparisons(query.body);
+  for (size_t j = 0; j < query.body.size(); ++j) {
+    const Literal& lit = query.body[j];
+    if (j != skip && lit.positive && lit.atom.is_comparison()) cs.Add(lit.atom);
+  }
   return cs;
 }
+
+/// What one in-progress residue match has used: the body literals it
+/// matched and the semantic facts the query's comparisons supplied. Kept in
+/// step with the matcher's bindings, so a completed match reads off exactly
+/// the support and facts of its own solution.
+struct MatchTrail {
+  std::vector<size_t> literals;
+  std::vector<std::pair<Term, Term>> equalities;
+  std::vector<Atom> implied;
+
+  struct Mark {
+    size_t literals, equalities, implied;
+  };
+  Mark Save() const {
+    return {literals.size(), equalities.size(), implied.size()};
+  }
+  void RollbackTo(const Mark& m) {
+    literals.resize(m.literals);
+    equalities.erase(equalities.begin() + static_cast<long>(m.equalities),
+                     equalities.end());
+    implied.erase(implied.begin() + static_cast<long>(m.implied),
+                  implied.end());
+  }
+  void Clear() { RollbackTo({0, 0, 0}); }
+};
 
 /// Recursive backtracking match of residue remainder literals against the
 /// query. Calls `on_match` for every complete solution.
 void MatchRemainder(const std::vector<Literal>& remainder, size_t k,
-                    Matcher* matcher, const Query& query,
+                    Matcher* matcher, MatchTrail* trail, const Query& query,
                     const solver::ConstraintSet::EqualityView& qcs,
                     const sqo::SymbolSet& bindable,
                     const std::function<void()>& on_match) {
@@ -61,26 +91,34 @@ void MatchRemainder(const std::vector<Literal>& remainder, size_t k,
     on_match();
     return;
   }
+  // Runs `match`, one attempt against body literal `j`, and on success
+  // matches the rest of the remainder; undoes both the bindings and the
+  // trail afterwards.
+  auto attempt = [&](const auto& match, size_t j) {
+    const size_t mark = matcher->Mark();
+    const MatchTrail::Mark trail_mark = trail->Save();
+    if (match()) {
+      trail->literals.push_back(j);
+      MatchRemainder(remainder, k + 1, matcher, trail, query, qcs, bindable,
+                     on_match);
+    }
+    matcher->RollbackTo(mark);
+    trail->RollbackTo(trail_mark);
+  };
   const Literal& lit = remainder[k];
   if (lit.atom.is_comparison()) {
     // Syntactic candidates: query comparison atoms with the same (or the
     // flipped) operator.
-    for (const Literal& ql : query.body) {
+    const Atom flipped = Atom::Comparison(datalog::FlipOp(lit.atom.op()),
+                                          lit.atom.rhs(), lit.atom.lhs());
+    const bool distinct_flip =
+        flipped.op() != lit.atom.op() || flipped.lhs() != lit.atom.lhs();
+    for (size_t j = 0; j < query.body.size(); ++j) {
+      const Literal& ql = query.body[j];
       if (!ql.positive || !ql.atom.is_comparison()) continue;
-      size_t mark = matcher->Mark();
-      if (matcher->MatchAtom(lit.atom, ql.atom)) {
-        MatchRemainder(remainder, k + 1, matcher, query, qcs, bindable, on_match);
-      }
-      matcher->RollbackTo(mark);
-      Atom flipped = Atom::Comparison(datalog::FlipOp(lit.atom.op()),
-                                      lit.atom.rhs(), lit.atom.lhs());
-      if (flipped.op() != lit.atom.op() || flipped.lhs() != lit.atom.lhs()) {
-        mark = matcher->Mark();
-        if (matcher->MatchAtom(flipped, ql.atom)) {
-          MatchRemainder(remainder, k + 1, matcher, query, qcs, bindable,
-                         on_match);
-        }
-        matcher->RollbackTo(mark);
+      attempt([&] { return matcher->MatchAtom(lit.atom, ql.atom); }, j);
+      if (distinct_flip) {
+        attempt([&] { return matcher->MatchAtom(flipped, ql.atom); }, j);
       }
     }
     // Semantic candidate: if the comparison is fully instantiated over
@@ -96,18 +134,18 @@ void MatchRemainder(const std::vector<Literal>& remainder, size_t k,
       }
     }
     if (fully_bound && qcs.Implies(inst)) {
-      MatchRemainder(remainder, k + 1, matcher, query, qcs, bindable, on_match);
+      trail->implied.push_back(std::move(inst));
+      MatchRemainder(remainder, k + 1, matcher, trail, query, qcs, bindable,
+                     on_match);
+      trail->implied.pop_back();
     }
     return;
   }
   // Predicate literal: match against query literals of the same polarity.
-  for (const Literal& ql : query.body) {
+  for (size_t j = 0; j < query.body.size(); ++j) {
+    const Literal& ql = query.body[j];
     if (ql.positive != lit.positive || !ql.atom.is_predicate()) continue;
-    size_t mark = matcher->Mark();
-    if (matcher->MatchLiteral(lit, ql)) {
-      MatchRemainder(remainder, k + 1, matcher, query, qcs, bindable, on_match);
-    }
-    matcher->RollbackTo(mark);
+    attempt([&] { return matcher->MatchLiteral(lit, ql); }, j);
   }
 }
 
@@ -169,38 +207,59 @@ bool HasUnboundVars(const Literal& lit, const sqo::SymbolSet& query_vars) {
   return false;
 }
 
-}  // namespace
+/// Builds the common fields of a step record.
+DerivationStep MakeStep(StepKind kind, std::string text, std::string source) {
+  DerivationStep step;
+  step.kind = kind;
+  step.text = std::move(text);
+  step.source = std::move(source);
+  return step;
+}
 
-std::vector<Consequence> Optimizer::ImpliedConsequences(
-    const Query& query) const {
-  // Memoized: the transformation search re-derives consequences for many
-  // closely related queries (restriction-removal probes each literal).
-  const sqo::Fingerprint128 cache_key = query.CanonicalFingerprint();
-  {
-    auto it = consequence_cache_.find(cache_key);
-    if (it != consequence_cache_.end()) {
-      obs::Count("optimizer.consequence_cache_hits");
-      return it->second;
+/// The rewriting `base` followed by `step`, which produced `next`. `kind`
+/// labels the transformation family for the metrics registry
+/// (optimizer.applied.<kind>), mirroring the paper's taxonomy. The
+/// structured step must describe `next` exactly — the verifier replays it
+/// through ApplyDerivationStep and rejects any divergence (SQO-A015).
+Rewriting Extend(const Rewriting& base, Query next, DerivationStep step,
+                 const char* kind) {
+  // Identical conjuncts are idempotent; drop exact duplicates.
+  std::vector<Literal> dedup;
+  for (Literal& l : next.body) {
+    if (std::find(dedup.begin(), dedup.end(), l) == dedup.end()) {
+      dedup.push_back(std::move(l));
     }
   }
-  std::vector<Consequence> out;
-  // Cross-residue dedup by structural literal identity (denials all carry
-  // the same canonical `false` literal, so a flag suffices for them).
-  std::unordered_set<Literal, datalog::LiteralHash> seen;
-  bool denial_seen = false;
-  auto merge = [&](const Consequence& c) {
-    if (c.is_denial) {
-      if (denial_seen) return;
-      denial_seen = true;
-      out.push_back(c);
-    } else if (seen.insert(c.literal).second) {
-      out.push_back(c);
-    }
+  next.body = std::move(dedup);
+  Rewriting r;
+  r.query = std::move(next);
+  r.derivation = base.derivation;
+  r.derivation.push_back(step.text);
+  r.steps = base.steps;
+  r.steps.push_back(std::move(step));
+  obs::Count(std::string("optimizer.applied.") + kind);
+  return r;
+}
+
+}  // namespace
+
+Optimizer::Closure Optimizer::Derive(const Query& query) const {
+  auto derivations = std::make_shared<std::vector<Derivation>>();
+  Closure closure;
+  closure.origin.resize(query.body.size());
+  std::iota(closure.origin.begin(), closure.origin.end(), 0u);
+  // Every exit publishes what was derived so far; a truncated closure only
+  // reaches a search whose governance latch has already failed it.
+  auto finish = [&]() {
+    closure.live.resize(derivations->size());
+    std::iota(closure.live.begin(), closure.live.end(), 0u);
+    closure.derivations = std::move(derivations);
+    return std::move(closure);
   };
+
   ExecutionContext* governance = CurrentContext();
   const solver::ConstraintSet qcs_set = QueryConstraints(query);
   const solver::ConstraintSet::EqualityView qcs(qcs_set);
-  const auto& equalities = qcs;
   sqo::SymbolSet query_vars;
   {
     std::vector<sqo::Symbol> vars;
@@ -210,30 +269,21 @@ std::vector<Consequence> Optimizer::ImpliedConsequences(
     for (const Literal& lit : query.body) lit.atom.CollectVariables(&vars);
     query_vars.insert(vars.begin(), vars.end());
   }
-
-  // One pass over the body groups predicate literals by (predicate,
-  // polarity) with a multiset fingerprint per group, and fingerprints the
-  // comparison literals (all of them — comparisons feed both remainder
-  // matching and the solver's equality/implication view). This feeds the
-  // applicability gate and the residue-application memo keys below.
-  sqo::FingerprintBuilder cmp_fb;
-  std::unordered_map<uint64_t, sqo::Fingerprint128> pred_groups;
+  // The (predicate, polarity) pairs of the body's predicate literals, for
+  // the applicability gate below.
+  std::unordered_set<uint64_t> pred_groups;
   auto group_of = [](sqo::Symbol pred, bool positive) {
     return static_cast<uint64_t>(pred.id()) * 2 + (positive ? 1 : 0);
   };
   for (const Literal& lit : query.body) {
-    if (lit.atom.is_comparison()) {
-      cmp_fb.AppendUnordered(lit.Hash());
-      continue;
+    if (lit.atom.is_predicate()) {
+      pred_groups.insert(group_of(lit.atom.predicate_symbol(), lit.positive));
     }
-    sqo::FingerprintBuilder b;
-    b.AppendUnordered(lit.Hash());
-    auto [it, fresh] = pred_groups.emplace(
-        group_of(lit.atom.predicate_symbol(), lit.positive), b.fingerprint());
-    if (!fresh) it->second = sqo::CombineUnordered(it->second, b.fingerprint());
   }
 
-  for (const Literal& anchor : query.body) {
+  MatchTrail trail;
+  for (size_t a = 0; a < query.body.size(); ++a) {
+    const Literal& anchor = query.body[a];
     if (!anchor.positive || !anchor.atom.is_predicate()) continue;
     const std::vector<Residue>* residues =
         compiled_->ResiduesFor(anchor.atom.predicate());
@@ -246,7 +296,7 @@ std::vector<Consequence> Optimizer::ImpliedConsequences(
       // work and incur no governance charge (no application is attempted).
       bool applicable = true;
       for (const auto& [pred, positive] : residue.remainder_predicates) {
-        if (pred_groups.find(group_of(pred, positive)) == pred_groups.end()) {
+        if (pred_groups.count(group_of(pred, positive)) == 0) {
           applicable = false;
           break;
         }
@@ -255,15 +305,13 @@ std::vector<Consequence> Optimizer::ImpliedConsequences(
         obs::Count("optimizer.applicability_skips");
         continue;
       }
-      // This function returns a plain vector, so governance violations and
-      // injected failures latch into the context; the Optimize boundary
-      // turns the latched Status into the caller-visible error. Bail
-      // without caching — a truncated consequence set must not be memoized
-      // as if it were complete.
+      // This function returns a plain closure, so governance violations
+      // and injected failures latch into the context; the Optimize boundary
+      // turns the latched Status into the caller-visible error.
       if (governance != nullptr) {
         governance->LatchError(failpoint::Check("optimizer.apply_residue"));
         governance->ChargeResidueApplications();
-        if (!governance->ok()) return out;
+        if (!governance->ok()) return finish();
       }
       // One span per residue tried, tagged hit/miss — the per-
       // transformation cost accounting the Figure-2 trace reports.
@@ -274,58 +322,33 @@ std::vector<Consequence> Optimizer::ImpliedConsequences(
       }
       obs::Count("optimizer.residues_tried");
 
-      // Residue-application memo: the consequence set of one (residue,
-      // anchor) attempt is a function of the anchor atom and the relevant
-      // query literals only (comparisons + literals the remainder can
-      // match; residue variables carry the reserved "_R" prefix, so no
-      // other query state leaks in). The restriction-removal and join-
-      // elimination probes re-run most attempts verbatim minus one
-      // irrelevant literal — those hit here.
-      sqo::Fingerprint128 relevant = cmp_fb.fingerprint();
-      for (const auto& [pred, positive] : residue.remainder_predicates) {
-        relevant = sqo::CombineUnordered(relevant,
-                                         pred_groups[group_of(pred, positive)]);
-      }
-      ResidueMemoKey memo_key{residue.id, relevant, anchor.atom};
-      if (auto mit = residue_memo_.find(memo_key); mit != residue_memo_.end()) {
-        obs::Count("optimizer.match_memo_hits");
-        residue_span.Tag("result", mit->second.hit ? "hit" : "miss");
-        if (mit->second.hit) obs::Count("optimizer.residue_hits");
-        for (const Consequence& c : mit->second.consequences) merge(c);
-        continue;
-      }
-
-      ResidueMemoEntry entry;
-      std::unordered_set<Literal, datalog::LiteralHash> entry_seen;
-      bool entry_denial = false;
       // Residues were renamed apart at compile time (reserved "_R" prefix);
       // their variable sets are precomputed and interned, so the matcher
       // borrows the set instead of copying it per application.
-      const Atom& template_atom = residue.template_atom;
-      const std::vector<Literal>& remainder = residue.remainder;
       Matcher matcher = Matcher::Borrowing(&residue.bindable_symbols);
       // Match modulo the query's own equality theory, so a key residue can
       // align Name with Name2 when the query asserts Name = Name2 (§5.3).
-      matcher.set_frozen_equiv([&equalities](const Term& a, const Term& b) {
-        return equalities.Equal(a, b);
+      // Every equality so supplied is a fact the solution relies on.
+      trail.Clear();
+      matcher.set_frozen_equiv([&qcs, &trail](const Term& x, const Term& y) {
+        if (!qcs.Equal(x, y)) return false;
+        trail.equalities.emplace_back(x, y);
+        return true;
       });
-      if (!matcher.MatchAtom(template_atom, anchor.atom)) {
+      if (!matcher.MatchAtom(residue.template_atom, anchor.atom)) {
         residue_span.Tag("result", "miss");
-        if (residue_memo_.size() > 8192) residue_memo_.clear();
-        residue_memo_.emplace(std::move(memo_key), std::move(entry));
         continue;
       }
 
-      MatchRemainder(remainder, 0, &matcher, query, qcs,
+      bool hit = false;
+      MatchRemainder(residue.remainder, 0, &matcher, &trail, query, qcs,
                      residue.bindable_symbols, [&]() {
-        entry.hit = true;
-        Consequence c;
-        c.source = residue.source;
+        hit = true;
+        Derivation d;
+        d.consequence.source = residue.source;
         if (!residue.head.has_value()) {
-          if (entry_denial) return;
-          entry_denial = true;
-          c.is_denial = true;
-          c.literal = Literal::Pos(Atom::Comparison(
+          d.consequence.is_denial = true;
+          d.consequence.literal = Literal::Pos(Atom::Comparison(
               CmpOp::kNe, Term::Int(0), Term::Int(0)));  // canonical "false"
         } else {
           Literal inst = matcher.subst().ApplyToLiteral(*residue.head);
@@ -340,21 +363,84 @@ std::vector<Consequence> Optimizer::ImpliedConsequences(
               return;
             }
           }
-          if (!entry_seen.insert(inst).second) return;
-          c.literal = std::move(inst);
+          d.consequence.literal = std::move(inst);
         }
-        entry.consequences.push_back(std::move(c));
+        d.support.assign(query.body.size(), false);
+        d.support[a] = true;
+        for (size_t j : trail.literals) d.support[j] = true;
+        d.equalities = trail.equalities;
+        d.implied = trail.implied;
+        derivations->push_back(std::move(d));
       });
-      residue_span.Tag("result", entry.hit ? "hit" : "miss");
-      if (entry.hit) obs::Count("optimizer.residue_hits");
-      for (const Consequence& c : entry.consequences) merge(c);
-      if (residue_memo_.size() > 8192) residue_memo_.clear();
-      residue_memo_.emplace(std::move(memo_key), std::move(entry));
+      residue_span.Tag("result", hit ? "hit" : "miss");
+      if (hit) obs::Count("optimizer.residue_hits");
     }
   }
-  if (consequence_cache_.size() > 4096) consequence_cache_.clear();
-  consequence_cache_.emplace(cache_key, out);
+  return finish();
+}
+
+Optimizer::Closure Optimizer::Without(const Closure& closure,
+                                      const Query& query, size_t i) {
+  Closure out;
+  out.derivations = closure.derivations;
+  out.origin = closure.origin;
+  out.origin.erase(out.origin.begin() + static_cast<long>(i));
+  const uint32_t gone = closure.origin[i];
+  // Residue matching is monotone in the body and in the equality theory:
+  // every solution on the shorter query is a solution here, with the same
+  // bindings, and a solution here survives exactly when it used neither
+  // the removed literal nor a fact only the removed literal supplied. Only
+  // a positive comparison feeds the equality/implication view.
+  const Literal& removed = query.body[i];
+  const bool recheck = removed.positive && removed.atom.is_comparison();
+  const solver::ConstraintSet rest_set =
+      recheck ? QueryConstraints(query, i) : solver::ConstraintSet();
+  const solver::ConstraintSet::EqualityView rest_view(rest_set);
+  auto holds = [&](const Derivation& d) {
+    if (!recheck) return true;
+    for (const auto& [x, y] : d.equalities) {
+      if (!rest_view.Equal(x, y)) return false;
+    }
+    for (const Atom& c : d.implied) {
+      if (!rest_view.Implies(c)) return false;
+    }
+    return true;
+  };
+  out.live.reserve(closure.live.size());
+  for (uint32_t index : closure.live) {
+    const Derivation& d = (*closure.derivations)[index];
+    if (!d.support[gone] && holds(d)) out.live.push_back(index);
+  }
   return out;
+}
+
+std::vector<Consequence> Optimizer::Distinct(const Closure& closure) {
+  std::vector<Consequence> out;
+  // Dedup by structural literal identity (denials all carry the same
+  // canonical `false` literal, so a flag suffices for them).
+  std::unordered_set<Literal, datalog::LiteralHash> seen;
+  bool denial_seen = false;
+  for (uint32_t index : closure.live) {
+    const Consequence& c = (*closure.derivations)[index].consequence;
+    if (c.is_denial) {
+      if (denial_seen) continue;
+      denial_seen = true;
+    } else if (!seen.insert(c.literal).second) {
+      continue;
+    }
+    out.push_back(c);
+  }
+  return out;
+}
+
+std::vector<Consequence> Optimizer::ImpliedConsequences(
+    const Query& query) const {
+  return Distinct(Derive(query));
+}
+
+std::vector<Consequence> Optimizer::ConsequencesWithout(const Query& query,
+                                                        size_t i) const {
+  return Distinct(Without(Derive(query), query, i));
 }
 
 bool Optimizer::CheckContradiction(const Query& query,
@@ -384,9 +470,9 @@ bool Optimizer::CheckContradiction(const Query& query,
   return false;
 }
 
-std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool additions,
-                                            bool reductions) const {
-  std::vector<Rewriting> out;
+std::vector<Optimizer::Candidate> Optimizer::Neighbors(
+    const Rewriting& base, const Closure& closure) const {
+  std::vector<Candidate> out;
   // A latched governance violation makes further neighbor generation
   // pointless; an empty frontier lets the search drain fast and the
   // boundary check report the original cause.
@@ -399,45 +485,18 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
   const std::set<std::string> object_vars =
       ObjectPositionVars(q, compiled_->schema->catalog);
   const solver::ConstraintSet qcs = QueryConstraints(q);
-  const std::vector<Consequence> consequences = ImpliedConsequences(q);
+  const std::vector<Consequence> consequences = Distinct(closure);
   int counter = 0;
 
-  // `kind` labels the transformation family for the metrics registry
-  // (optimizer.applied.<kind>), mirroring the paper's taxonomy. The
-  // structured step must describe `next` exactly — the verifier replays it
-  // through ApplyDerivationStep and rejects any divergence (SQO-A015).
+  // Growing rewritings apply the residues again when they are expanded.
   auto emit = [&](Query next, DerivationStep step, const char* kind) {
-    // Identical conjuncts are idempotent; drop exact duplicates.
-    std::vector<Literal> dedup;
-    for (Literal& l : next.body) {
-      if (std::find(dedup.begin(), dedup.end(), l) == dedup.end()) {
-        dedup.push_back(std::move(l));
-      }
-    }
-    next.body = std::move(dedup);
-    Rewriting r;
-    r.query = std::move(next);
-    r.derivation = base.derivation;
-    r.derivation.push_back(step.text);
-    r.steps = base.steps;
-    r.steps.push_back(std::move(step));
-    obs::Count(std::string("optimizer.applied.") + kind);
-    out.push_back(std::move(r));
-  };
-
-  // Builds the common fields of a step record.
-  auto make_step = [](StepKind kind, std::string text, std::string source) {
-    DerivationStep step;
-    step.kind = kind;
-    step.text = std::move(text);
-    step.source = std::move(source);
-    return step;
+    out.push_back(
+        {Extend(base, std::move(next), std::move(step), kind), std::nullopt});
   };
 
   // T1: restriction addition; T2: scope reduction; T4: merges; T5: join
   // introduction.
-  for (const Consequence& c : additions ? consequences
-                                        : std::vector<Consequence>{}) {
+  for (const Consequence& c : consequences) {
     if (c.is_denial) continue;
     const Literal& lit = c.literal;
 
@@ -476,7 +535,7 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
       if (options_.add_restrictions && interacts && !qcs.Implies(lit.atom)) {
         Query next = q;
         next.body.push_back(lit);
-        DerivationStep step = make_step(
+        DerivationStep step = MakeStep(
             StepKind::kAddRestriction,
             "add restriction " + lit.atom.ToString() + " [" + c.source + "]",
             c.source);
@@ -518,7 +577,7 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
           }
         }
         next.body = std::move(dedup);
-        DerivationStep step = make_step(
+        DerivationStep step = MakeStep(
             StepKind::kMergeVariables,
             "merge " + drop + " into " + keep + " (implied " +
                 lit.atom.ToString() + ") [" + c.source + "]",
@@ -573,7 +632,7 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
       if (present) continue;
       Query next = q;
       next.body.push_back(fresh);
-      DerivationStep step = make_step(
+      DerivationStep step = MakeStep(
           StepKind::kScopeReduction,
           "reduce scope: add " + fresh.ToString() + " [" + c.source + "]",
           c.source);
@@ -666,7 +725,7 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
       Literal fresh = FreshenUnbound(lit, query_vars, &counter);
       Query next = q;
       next.body.push_back(fresh);
-      DerivationStep step = make_step(
+      DerivationStep step = MakeStep(
           StepKind::kIntroduceJoin,
           "introduce join " + fresh.atom.ToString() + " [" + c.source + "]",
           c.source);
@@ -676,138 +735,10 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
     }
   }
 
-  // T3: restriction removal — a comparison implied by the rest of the query.
-  if (reductions && options_.remove_restrictions) {
-    for (size_t i = 0; i < q.body.size(); ++i) {
-      const Literal& lit = q.body[i];
-      if (!lit.positive || !lit.atom.is_comparison()) continue;
-      Query rest = q;
-      rest.body.erase(rest.body.begin() + static_cast<long>(i));
-      solver::ConstraintSet cs = QueryConstraints(rest);
-      bool implied = cs.Implies(lit.atom);
-      std::string via = "remaining restrictions";
-      if (!implied) {
-        for (const Consequence& c : ImpliedConsequences(rest)) {
-          if (c.is_denial || !c.literal.positive ||
-              !c.literal.atom.is_comparison()) {
-            continue;
-          }
-          cs.Add(c.literal.atom);
-        }
-        implied = cs.Implies(lit.atom);
-        via = "remaining restrictions plus implied consequences";
-      }
-      if (implied) {
-        DerivationStep step = make_step(
-            StepKind::kRemoveRestriction,
-            "remove redundant restriction " + lit.atom.ToString() + " (" + via +
-                ")",
-            via);
-        step.removed.push_back(lit);
-        emit(std::move(rest), std::move(step), "restriction_removal");
-      }
-    }
-  }
-
-  // T6: join elimination — a predicate literal implied by the rest.
-  if (reductions && options_.join_elimination) {
-    for (size_t i = 0; i < q.body.size(); ++i) {
-      const Literal& lit = q.body[i];
-      if (!lit.positive || !lit.atom.is_predicate()) continue;
-      const RelationSignature* sig =
-          compiled_->schema->catalog.Find(lit.atom.predicate());
-      if (sig == nullptr) continue;
-
-      // Solo variables: occur in this literal only (not in the head, not
-      // elsewhere in the body).
-      sqo::SymbolSet solo;
-      {
-        std::vector<sqo::Symbol> vars;
-        lit.atom.CollectVariables(&vars);
-        solo.insert(vars.begin(), vars.end());
-      }
-      for (const Term& t : q.head_args) {
-        if (t.is_variable()) solo.erase(t.var_symbol());
-      }
-      for (size_t j = 0; j < q.body.size() && !solo.empty(); ++j) {
-        if (j == i) continue;
-        std::vector<sqo::Symbol> vars;
-        q.body[j].atom.CollectVariables(&vars);
-        for (sqo::Symbol v : vars) solo.erase(v);
-      }
-
-      // Multiplicity gate, mirroring join introduction.
-      bool safe = solo.empty();
-      if (!safe) {
-        auto bound_at = [&](size_t pos) {
-          const Term& t = lit.atom.args()[pos];
-          return t.is_constant() ||
-                 (t.is_variable() && solo.count(t.var_symbol()) == 0);
-        };
-        switch (sig->kind) {
-          case RelationKind::kClass:
-          case RelationKind::kStructure:
-            safe = bound_at(0);
-            break;
-          case RelationKind::kMethod: {
-            safe = true;
-            for (size_t p = 0; p + 1 < lit.atom.arity(); ++p) {
-              safe = safe && bound_at(p);
-            }
-            break;
-          }
-          case RelationKind::kRelationship:
-          case RelationKind::kAsr:
-            safe = (bound_at(0) && sig->functional_src_to_dst) ||
-                   (bound_at(1) && sig->functional_dst_to_src);
-            break;
-        }
-      }
-      if (!safe) continue;
-
-      Query rest = q;
-      rest.body.erase(rest.body.begin() + static_cast<long>(i));
-      bool implied = false;
-      std::string source;
-      // A remaining literal that differs only in this literal's solo
-      // variables already implies it (the duplicate-atom case of §5.3
-      // after variable merging).
-      for (const Literal& other : rest.body) {
-        if (!other.positive || !other.atom.is_predicate()) continue;
-        Matcher m = Matcher::Borrowing(&solo);
-        if (m.MatchAtom(lit.atom, other.atom)) {
-          implied = true;
-          source = "subsumed by " + other.atom.ToString();
-          break;
-        }
-      }
-      if (!implied) {
-        for (const Consequence& c : ImpliedConsequences(rest)) {
-          if (c.is_denial || !c.literal.positive ||
-              !c.literal.atom.is_predicate()) {
-            continue;
-          }
-          Matcher m = Matcher::Borrowing(&solo);
-          if (m.MatchAtom(lit.atom, c.literal.atom)) {
-            implied = true;
-            source = c.source;
-            break;
-          }
-        }
-      }
-      if (implied) {
-        DerivationStep step = make_step(
-            StepKind::kEliminateJoin,
-            "eliminate join " + lit.atom.ToString() + " [" + source + "]",
-            source);
-        step.removed.push_back(lit);
-        emit(std::move(rest), std::move(step), "join_elimination");
-      }
-    }
-  }
+  Reductions(base, closure, /*first_only=*/false, &out);
 
   // T7: ASR folding — replace a matched relationship path by the ASR.
-  if (additions && options_.asr_rewriting) {
+  if (options_.asr_rewriting) {
     for (const AsrDefinition& asr : compiled_->asrs) {
       const size_t k = asr.path.size();
       // Candidate literal indexes per path position.
@@ -876,7 +807,7 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
                 {matcher->subst().Apply(Term::Var(asr.path_vars.front())),
                  matcher->subst().Apply(Term::Var(asr.path_vars.back()))}));
             next.body.push_back(asr_lit);
-            DerivationStep step = make_step(
+            DerivationStep step = MakeStep(
                 StepKind::kFoldAsr,
                 cut == k
                     ? "fold path into access support relation " + asr.name
@@ -913,13 +844,171 @@ std::vector<Rewriting> Optimizer::Neighbors(const Rewriting& base, bool addition
   return out;
 }
 
-Rewriting Optimizer::ReduceToFixpoint(Rewriting base) const {
+void Optimizer::Reductions(const Rewriting& base, const Closure& closure,
+                           bool first_only, std::vector<Candidate>* out) const {
+  const Query& q = base.query;
+  // A removal's query is its parent's minus one literal, so it inherits its
+  // parent's closure, filtered — unless dropping a duplicate conjunct
+  // renumbered the body.
+  auto emit = [&](Query rest, DerivationStep step, const char* kind,
+                  Closure child) {
+    const size_t size = rest.body.size();
+    Candidate next{Extend(base, std::move(rest), std::move(step), kind),
+                   std::move(child)};
+    if (next.rewriting.query.body.size() != size) next.closure.reset();
+    out->push_back(std::move(next));
+  };
+  auto rest_of = [&](size_t i) {
+    Query rest = q;
+    rest.body.erase(rest.body.begin() + static_cast<long>(i));
+    return rest;
+  };
+
+  // T3: restriction removal — a comparison implied by the rest of the query.
+  if (options_.remove_restrictions) {
+    for (size_t i = 0; i < q.body.size(); ++i) {
+      const Literal& lit = q.body[i];
+      if (!lit.positive || !lit.atom.is_comparison()) continue;
+      Closure child = Without(closure, q, i);
+      solver::ConstraintSet cs = QueryConstraints(q, i);
+      bool implied = cs.Implies(lit.atom);
+      std::string via = "remaining restrictions";
+      if (!implied) {
+        for (uint32_t index : child.live) {
+          const Consequence& c = (*child.derivations)[index].consequence;
+          if (c.is_denial || !c.literal.positive ||
+              !c.literal.atom.is_comparison()) {
+            continue;
+          }
+          cs.Add(c.literal.atom);
+        }
+        implied = cs.Implies(lit.atom);
+        via = "remaining restrictions plus implied consequences";
+      }
+      if (implied) {
+        DerivationStep step = MakeStep(
+            StepKind::kRemoveRestriction,
+            "remove redundant restriction " + lit.atom.ToString() + " (" + via +
+                ")",
+            via);
+        step.removed.push_back(lit);
+        emit(rest_of(i), std::move(step), "restriction_removal",
+             std::move(child));
+        if (first_only) return;
+      }
+    }
+  }
+
+  // T6: join elimination — a predicate literal implied by the rest.
+  if (options_.join_elimination) {
+    for (size_t i = 0; i < q.body.size(); ++i) {
+      const Literal& lit = q.body[i];
+      if (!lit.positive || !lit.atom.is_predicate()) continue;
+      const RelationSignature* sig =
+          compiled_->schema->catalog.Find(lit.atom.predicate());
+      if (sig == nullptr) continue;
+
+      // Solo variables: occur in this literal only (not in the head, not
+      // elsewhere in the body).
+      sqo::SymbolSet solo;
+      {
+        std::vector<sqo::Symbol> vars;
+        lit.atom.CollectVariables(&vars);
+        solo.insert(vars.begin(), vars.end());
+      }
+      for (const Term& t : q.head_args) {
+        if (t.is_variable()) solo.erase(t.var_symbol());
+      }
+      for (size_t j = 0; j < q.body.size() && !solo.empty(); ++j) {
+        if (j == i) continue;
+        std::vector<sqo::Symbol> vars;
+        q.body[j].atom.CollectVariables(&vars);
+        for (sqo::Symbol v : vars) solo.erase(v);
+      }
+
+      // Multiplicity gate, mirroring join introduction.
+      bool safe = solo.empty();
+      if (!safe) {
+        auto bound_at = [&](size_t pos) {
+          const Term& t = lit.atom.args()[pos];
+          return t.is_constant() ||
+                 (t.is_variable() && solo.count(t.var_symbol()) == 0);
+        };
+        switch (sig->kind) {
+          case RelationKind::kClass:
+          case RelationKind::kStructure:
+            safe = bound_at(0);
+            break;
+          case RelationKind::kMethod: {
+            safe = true;
+            for (size_t p = 0; p + 1 < lit.atom.arity(); ++p) {
+              safe = safe && bound_at(p);
+            }
+            break;
+          }
+          case RelationKind::kRelationship:
+          case RelationKind::kAsr:
+            safe = (bound_at(0) && sig->functional_src_to_dst) ||
+                   (bound_at(1) && sig->functional_dst_to_src);
+            break;
+        }
+      }
+      if (!safe) continue;
+
+      bool implied = false;
+      std::string source;
+      // A remaining literal that differs only in this literal's solo
+      // variables already implies it (the duplicate-atom case of §5.3
+      // after variable merging).
+      for (size_t j = 0; j < q.body.size() && !implied; ++j) {
+        const Literal& other = q.body[j];
+        if (j == i || !other.positive || !other.atom.is_predicate()) continue;
+        Matcher m = Matcher::Borrowing(&solo);
+        if (m.MatchAtom(lit.atom, other.atom)) {
+          implied = true;
+          source = "subsumed by " + other.atom.ToString();
+        }
+      }
+      Closure child = Without(closure, q, i);
+      // The first live derivation whose literal implies this one is the
+      // first occurrence of that literal, so its source is the one the
+      // consequence list of the rest reports.
+      for (size_t k = 0; k < child.live.size() && !implied; ++k) {
+        const Consequence& c = (*child.derivations)[child.live[k]].consequence;
+        if (c.is_denial || !c.literal.positive ||
+            !c.literal.atom.is_predicate()) {
+          continue;
+        }
+        Matcher m = Matcher::Borrowing(&solo);
+        if (m.MatchAtom(lit.atom, c.literal.atom)) {
+          implied = true;
+          source = c.source;
+        }
+      }
+      if (implied) {
+        DerivationStep step = MakeStep(
+            StepKind::kEliminateJoin,
+            "eliminate join " + lit.atom.ToString() + " [" + source + "]",
+            source);
+        step.removed.push_back(lit);
+        emit(rest_of(i), std::move(step), "join_elimination",
+             std::move(child));
+        if (first_only) return;
+      }
+    }
+  }
+}
+
+Rewriting Optimizer::ReduceToFixpoint(Rewriting base, Closure closure) const {
   // Reductions strictly shrink the body, so this terminates.
   for (size_t guard = 0; guard < 64; ++guard) {
-    std::vector<Rewriting> reduced =
-        Neighbors(base, /*additions=*/false, /*reductions=*/true);
+    std::vector<Candidate> reduced;
+    Reductions(base, closure, /*first_only=*/true, &reduced);
     if (reduced.empty()) break;
-    base = std::move(reduced.front());
+    base = std::move(reduced.front().rewriting);
+    closure = reduced.front().closure.has_value()
+                  ? std::move(*reduced.front().closure)
+                  : Derive(base.query);
   }
   return base;
 }
@@ -931,17 +1020,28 @@ sqo::Result<OptimizationOutcome> Optimizer::Optimize(const Query& query) const {
   OptimizationOutcome outcome;
   uint64_t pruned = 0;  // rewritings rediscovered (dedup) or over the cap
 
+  // closures[i] is the closure of outcome.equivalents[i], derived when the
+  // alternative is first expanded unless a removal handed it down.
+  std::vector<std::optional<Closure>> closures;
+  auto closure_of = [&](size_t i) -> const Closure& {
+    if (!closures[i].has_value()) {
+      closures[i] = Derive(outcome.equivalents[i].query);
+    }
+    return *closures[i];
+  };
+  Rewriting original;
+  original.query = query;
+  outcome.equivalents.push_back(std::move(original));
+  closures.emplace_back();
+
   if (options_.detect_contradictions) {
     obs::Span check_span("optimize.contradiction_check");
-    std::vector<Consequence> consequences = ImpliedConsequences(query);
-    if (CheckContradiction(query, consequences, &outcome.contradiction_reason,
+    if (CheckContradiction(query, Distinct(closure_of(0)),
+                           &outcome.contradiction_reason,
                            &outcome.contradiction_witness)) {
       outcome.contradiction = true;
       check_span.Tag("contradiction", "true");
       obs::Count("optimizer.contradictions");
-      Rewriting original;
-      original.query = query;
-      outcome.equivalents.push_back(std::move(original));
       return outcome;
     }
   }
@@ -951,22 +1051,19 @@ sqo::Result<OptimizationOutcome> Optimizer::Optimize(const Query& query) const {
   {
     obs::Span search_span("optimize.search");
     std::unordered_set<sqo::Fingerprint128, sqo::FingerprintHash> seen;
-    std::deque<std::pair<Rewriting, int>> frontier;
-    Rewriting original;
-    original.query = query;
+    std::deque<std::pair<size_t, int>> frontier;  // (alternative, depth)
     seen.insert(query.CanonicalFingerprint());
-    outcome.equivalents.push_back(original);
-    frontier.emplace_back(std::move(original), 0);
+    frontier.emplace_back(0, 0);
 
     while (!frontier.empty() &&
            outcome.equivalents.size() < options_.max_alternatives) {
       SQO_RETURN_IF_ERROR(CheckGovernance("optimizer.search"));
-      auto [current, depth] = std::move(frontier.front());
+      const auto [current, depth] = frontier.front();
       frontier.pop_front();
       if (depth >= options_.max_depth) continue;
-      for (Rewriting& next : Neighbors(current, /*additions=*/true,
-                                       /*reductions=*/true)) {
-        sqo::Fingerprint128 key = next.query.CanonicalFingerprint();
+      for (Candidate& next :
+           Neighbors(outcome.equivalents[current], closure_of(current))) {
+        sqo::Fingerprint128 key = next.rewriting.query.CanonicalFingerprint();
         if (!seen.insert(key).second) {
           ++pruned;
           obs::Count("optimizer.dedup_hits");
@@ -980,8 +1077,9 @@ sqo::Result<OptimizationOutcome> Optimizer::Optimize(const Query& query) const {
           governance->ChargeAlternatives();
           if (!governance->ok()) break;
         }
-        outcome.equivalents.push_back(next);
-        frontier.emplace_back(std::move(next), depth + 1);
+        outcome.equivalents.push_back(std::move(next.rewriting));
+        closures.push_back(std::move(next.closure));
+        frontier.emplace_back(outcome.equivalents.size() - 1, depth + 1);
       }
     }
     SQO_RETURN_IF_ERROR(CheckGovernance("optimizer.search"));
@@ -994,7 +1092,8 @@ sqo::Result<OptimizationOutcome> Optimizer::Optimize(const Query& query) const {
       const size_t n = outcome.equivalents.size();
       for (size_t i = 0; i < n; ++i) {
         SQO_RETURN_IF_ERROR(CheckGovernance("optimizer.fixpoint"));
-        Rewriting reduced = ReduceToFixpoint(outcome.equivalents[i]);
+        Rewriting reduced =
+            ReduceToFixpoint(outcome.equivalents[i], closure_of(i));
         sqo::Fingerprint128 key = reduced.query.CanonicalFingerprint();
         if (seen.insert(key).second) {
           outcome.equivalents.push_back(std::move(reduced));

@@ -2,11 +2,12 @@
 #define SQO_SQO_OPTIMIZER_H_
 
 #include <cstdint>
+#include <memory>
+#include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
-#include "common/fingerprint.h"
 #include "common/status.h"
 #include "datalog/clause.h"
 #include "solver/constraint_set.h"
@@ -79,7 +80,8 @@ struct Consequence {
 
 /// The Step-3 semantic optimizer: applies compiled residues to a query,
 /// derives implied consequences, and searches the (bounded) space of
-/// equivalent rewritings.
+/// equivalent rewritings. The residues are applied once per search node;
+/// a removal reads its result off its parent's derivations.
 class Optimizer {
  public:
   explicit Optimizer(const CompiledSchema* compiled, OptimizerOptions options = {})
@@ -89,19 +91,76 @@ class Optimizer {
   sqo::Result<OptimizationOutcome> Optimize(const datalog::Query& query) const;
 
   /// Applies every attached residue to `query` and returns the implied
-  /// consequences. Exposed for tests and diagnostics.
+  /// consequences, each literal once, with the source of its first
+  /// derivation. Exposed for tests and diagnostics.
   std::vector<Consequence> ImpliedConsequences(const datalog::Query& query) const;
 
- private:
-  /// Single-step rewritings of `base`. `additions` enables the growing
-  /// transformations (restriction/join/scope additions, merges, ASR folds);
-  /// `reductions` the shrinking ones (restriction removal, join
-  /// elimination).
-  std::vector<Rewriting> Neighbors(const Rewriting& base, bool additions,
-                                   bool reductions) const;
+  /// The search's removal probe: the consequences of `query` without
+  /// `query.body[i]` (`i` must index the body), read off the derivations
+  /// of `query` itself rather than by applying residues to the shorter
+  /// query. Equal, literal for literal and source for source, to
+  /// ImpliedConsequences of `query` with `body[i]` erased (DESIGN.md §5
+  /// has the argument).
+  std::vector<Consequence> ConsequencesWithout(const datalog::Query& query,
+                                               size_t i) const;
 
-  /// Applies reductions greedily until none applies.
-  Rewriting ReduceToFixpoint(Rewriting base) const;
+ private:
+  /// One solution of one residue application: the consequence it implies,
+  /// the body literals it matched (`support`, indexed like the body of the
+  /// query the residues were applied to: the anchor and every remainder
+  /// literal matched syntactically) and the semantic facts it relied on.
+  struct Derivation {
+    Consequence consequence;
+    std::vector<bool> support;
+    /// Pairs of distinct frozen terms the query's equality theory equated.
+    std::vector<std::pair<datalog::Term, datalog::Term>> equalities;
+    /// Remainder comparisons the query's comparisons implied.
+    std::vector<datalog::Atom> implied;
+  };
+
+  /// The derivations of one query. A query reached from another by
+  /// removals shares that query's derivations and keeps the ones that
+  /// still hold.
+  struct Closure {
+    std::shared_ptr<const std::vector<Derivation>> derivations;
+    std::vector<uint32_t> live;    // indexes of the derivations that hold
+    std::vector<uint32_t> origin;  // origin[j]: support index of body[j]
+  };
+
+  /// A rewriting, with its query's closure when a removal made it known.
+  struct Candidate {
+    Rewriting rewriting;
+    std::optional<Closure> closure;
+  };
+
+  /// Applies every attached residue to `query` once, recording every
+  /// solution.
+  Closure Derive(const datalog::Query& query) const;
+
+  /// The closure of `query` without `query.body[i]`: the derivations whose
+  /// support avoids `i` and, when a comparison goes, whose facts still hold
+  /// under the remaining comparisons.
+  static Closure Without(const Closure& closure, const datalog::Query& query,
+                         size_t i);
+
+  /// The closure's consequences, each literal once, from its first live
+  /// derivation.
+  static std::vector<Consequence> Distinct(const Closure& closure);
+
+  /// Single-step rewritings of `base` (whose closure is `closure`): the
+  /// growing transformations (restriction/join/scope additions, merges,
+  /// ASR folds) and the shrinking ones (restriction removal, join
+  /// elimination).
+  std::vector<Candidate> Neighbors(const Rewriting& base,
+                                   const Closure& closure) const;
+
+  /// Appends the removal rewritings of `base` to `out`, stopping after the
+  /// first one when `first_only`.
+  void Reductions(const Rewriting& base, const Closure& closure,
+                  bool first_only, std::vector<Candidate>* out) const;
+
+  /// Applies the first applicable reduction until none applies.
+  Rewriting ReduceToFixpoint(Rewriting base, Closure closure) const;
 
   /// True if the query's own comparisons plus its implied evaluable
   /// consequences are jointly unsatisfiable; fills reason/witness.
@@ -112,44 +171,6 @@ class Optimizer {
 
   const CompiledSchema* compiled_;
   OptimizerOptions options_;
-
-  /// Memo for ImpliedConsequences, keyed by the 128-bit hash of the
-  /// canonical query form (CanonicalFingerprint — no key string is ever
-  /// materialized). The optimizer is not thread-safe; use one instance per
-  /// thread.
-  mutable std::unordered_map<sqo::Fingerprint128, std::vector<Consequence>,
-                             sqo::FingerprintHash>
-      consequence_cache_;
-
-  /// Memo for individual residue applications. The consequence set of one
-  /// (residue, anchor) attempt depends only on the anchor atom, the query's
-  /// comparison literals, and the query literals whose predicate/polarity
-  /// the residue's remainder can match (see DESIGN.md for the soundness
-  /// argument), so restriction-removal probes that drop an *irrelevant*
-  /// literal hit this memo instead of re-running the backtracking matcher.
-  struct ResidueMemoKey {
-    uint32_t residue_id;
-    sqo::Fingerprint128 relevant;  // multiset hash of relevant literals
-    datalog::Atom anchor;          // compared exactly, not by hash
-
-    bool operator==(const ResidueMemoKey& o) const {
-      return residue_id == o.residue_id && relevant == o.relevant &&
-             anchor == o.anchor;
-    }
-  };
-  struct ResidueMemoKeyHash {
-    size_t operator()(const ResidueMemoKey& k) const {
-      return sqo::FingerprintHash()(k.relevant) * 1099511628211ull +
-             k.residue_id * 0x9e3779b9u + k.anchor.Hash();
-    }
-  };
-  struct ResidueMemoEntry {
-    bool hit = false;
-    std::vector<Consequence> consequences;  // deduped within this entry
-  };
-  mutable std::unordered_map<ResidueMemoKey, ResidueMemoEntry,
-                             ResidueMemoKeyHash>
-      residue_memo_;
 };
 
 }  // namespace sqo::core

@@ -24,8 +24,7 @@ std::string Residue::ToString() const {
          StrJoin(rem, ", ") + "}";
 }
 
-void Residue::FinalizeForMatching(uint32_t residue_id) {
-  id = residue_id;
+void Residue::FinalizeForMatching() {
   bindable_symbols.clear();
   for (const std::string& name : variables) {
     bindable_symbols.insert(sqo::Intern(name));

@@ -1,7 +1,6 @@
 #ifndef SQO_SQO_RESIDUE_H_
 #define SQO_SQO_RESIDUE_H_
 
-#include <cstdint>
 #include <optional>
 #include <set>
 #include <string>
@@ -58,16 +57,12 @@ struct Residue {
   /// the whole match attempt. Filled by FinalizeForMatching.
   std::vector<std::pair<sqo::Symbol, bool>> remainder_predicates;
 
-  /// Dense id, unique within a CompiledSchema; key component of the
-  /// optimizer's residue-application memo. Filled by FinalizeForMatching.
-  uint32_t id = 0;
-
   Residue() : template_atom(datalog::Atom::Pred("", {})) {}
 
   /// Precomputes the application-time acceleration fields above from
   /// `variables` and `remainder`. Called once per residue by the semantic
   /// compiler, after renaming apart.
-  void FinalizeForMatching(uint32_t residue_id);
+  void FinalizeForMatching();
 
   /// `faculty(T1, T2, T3): {Age > 30 <- }` style rendering.
   std::string ToString() const;

@@ -116,9 +116,9 @@ sqo::Result<CompiledSchema> CompileSemantics(
         residue.remainder.assign(renamed.body.begin() + 1, renamed.body.end());
         residue.variables = renamed.VariableSet();
         // Precompute the application-time acceleration data (interned
-        // bindable set, remainder predicate requirements, memo id) once,
-        // here, instead of per application in the optimizer's hot loop.
-        residue.FinalizeForMatching(static_cast<uint32_t>(residue_counter));
+        // bindable set, remainder predicate requirements) once, here,
+        // instead of per application in the optimizer's hot loop.
+        residue.FinalizeForMatching();
         out.residues[rel].push_back(std::move(residue));
       }
     }

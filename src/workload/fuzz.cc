@@ -376,7 +376,7 @@ sqo::Result<std::string> CorruptResidue(core::CompiledSchema* compiled,
     case ResidueCorruption::kDropRemainderLiteral: {
       victim.remainder.erase(victim.remainder.begin() +
                              static_cast<long>(seed % victim.remainder.size()));
-      victim.FinalizeForMatching(victim.id);
+      victim.FinalizeForMatching();
       break;
     }
   }

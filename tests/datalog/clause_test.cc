@@ -69,16 +69,18 @@ TEST(QueryTest, VariablesAndComparisons) {
   EXPECT_EQ(q.Comparisons()[0].op(), CmpOp::kLt);
 }
 
+// The canonical key is CanonicalFingerprint, the hash of the canonical
+// form the optimizer deduplicates rewritings by.
 TEST(QueryTest, CanonicalKeyInvariantUnderRenaming) {
   Query a = ParseQ("q(Name) :- person(X, Name, Age), Age < 30.");
   Query b = ParseQ("q(M) :- person(Y, M, B), B < 30.");
-  EXPECT_EQ(a.CanonicalKey(), b.CanonicalKey());
+  EXPECT_EQ(a.CanonicalFingerprint(), b.CanonicalFingerprint());
 }
 
 TEST(QueryTest, CanonicalKeyInvariantUnderReordering) {
   Query a = ParseQ("q(N) :- person(X, N, A), A < 30, takes(X, Y).");
   Query b = ParseQ("q(N) :- takes(X, Y), A < 30, person(X, N, A).");
-  EXPECT_EQ(a.CanonicalKey(), b.CanonicalKey());
+  EXPECT_EQ(a.CanonicalFingerprint(), b.CanonicalFingerprint());
 }
 
 TEST(QueryTest, CanonicalKeyDistinguishesStructure) {
@@ -86,16 +88,38 @@ TEST(QueryTest, CanonicalKeyDistinguishesStructure) {
   Query b = ParseQ("q(N) :- person(X, N, A), A < 31.");
   Query c = ParseQ("q(N) :- person(X, N, A), A > 30.");
   Query d = ParseQ("q(A) :- person(X, N, A), A < 30.");
-  EXPECT_NE(a.CanonicalKey(), b.CanonicalKey());
-  EXPECT_NE(a.CanonicalKey(), c.CanonicalKey());
-  EXPECT_NE(a.CanonicalKey(), d.CanonicalKey());
+  EXPECT_NE(a.CanonicalFingerprint(), b.CanonicalFingerprint());
+  EXPECT_NE(a.CanonicalFingerprint(), c.CanonicalFingerprint());
+  EXPECT_NE(a.CanonicalFingerprint(), d.CanonicalFingerprint());
 }
 
 TEST(QueryTest, CanonicalKeySeesSharedVariables) {
   // Same shapes but different variable sharing.
   Query a = ParseQ("q(N) :- p(X, N), r(X, Y).");
   Query b = ParseQ("q(N) :- p(X, N), r(Z, Y).");
-  EXPECT_NE(a.CanonicalKey(), b.CanonicalKey());
+  EXPECT_NE(a.CanonicalFingerprint(), b.CanonicalFingerprint());
+}
+
+TEST(QueryTest, CanonicalFingerprintIgnoresMirroredEquality) {
+  // A key IC implies both Z = W and W = Z: one restriction, one key.
+  Query a = ParseQ("q(N) :- f(Z, N), f(W, N2), Z = W.");
+  Query b = ParseQ("q(N) :- f(Z, N), f(W, N2), W = Z.");
+  EXPECT_EQ(a.CanonicalFingerprint(), b.CanonicalFingerprint());
+  // Renamed, and the comparison moved ahead of the atoms it relates.
+  Query c = ParseQ("q(M) :- B = A, f(A, M), f(B, N2).");
+  EXPECT_EQ(a.CanonicalFingerprint(), c.CanonicalFingerprint());
+}
+
+TEST(QueryTest, CanonicalFingerprintIgnoresMirroredDisequality) {
+  Query a = ParseQ("q(X) :- p(X), X != 3.");
+  Query b = ParseQ("q(X) :- p(X), 3 != X.");
+  EXPECT_EQ(a.CanonicalFingerprint(), b.CanonicalFingerprint());
+}
+
+TEST(QueryTest, CanonicalFingerprintKeepsOperandOrderOfInequalities) {
+  Query a = ParseQ("q(X) :- p(X, Y), X < Y.");
+  Query b = ParseQ("q(X) :- p(X, Y), Y < X.");
+  EXPECT_NE(a.CanonicalFingerprint(), b.CanonicalFingerprint());
 }
 
 TEST(QueryTest, SubstitutedAppliesToHead) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "datalog/parser.h"
 
 namespace sqo::solver {
@@ -218,6 +220,32 @@ struct ImplicationCase {
   double asked_bound;
   bool expect_implied;
 };
+
+// Names each case after its content, e.g. `x_gt_40_implies_x_gt_30`.
+// Without it the test names print the struct's raw bytes, padding
+// included, and change from build to build.
+void PrintTo(const ImplicationCase& c, std::ostream* os) {
+  auto name = [](CmpOp op) {
+    switch (op) {
+      case CmpOp::kEq:
+        return "eq";
+      case CmpOp::kNe:
+        return "ne";
+      case CmpOp::kLt:
+        return "lt";
+      case CmpOp::kLe:
+        return "le";
+      case CmpOp::kGt:
+        return "gt";
+      case CmpOp::kGe:
+        return "ge";
+    }
+    return "op";
+  };
+  *os << "x_" << name(c.given) << "_" << c.bound
+      << (c.expect_implied ? "_implies_x_" : "_does_not_imply_x_")
+      << name(c.asked) << "_" << c.asked_bound;
+}
 
 class ImplicationSweep : public ::testing::TestWithParam<ImplicationCase> {};
 

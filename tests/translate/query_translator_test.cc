@@ -241,7 +241,8 @@ TEST_F(QueryTranslatorTest, ExistsSameAsFromRange) {
       "select x.name from x in Student, y in x.takes "
       "where y.number = \"1\"");
   ASSERT_TRUE(via_exists.ok() && via_from.ok());
-  EXPECT_EQ(via_exists->query.CanonicalKey(), via_from->query.CanonicalKey());
+  EXPECT_EQ(via_exists->query.CanonicalFingerprint(),
+            via_from->query.CanonicalFingerprint());
 }
 
 TEST_F(QueryTranslatorTest, NestedExists) {
