@@ -7,6 +7,13 @@
 //  PathJoin     the §5.4 four-hop student→TA path under default options —
 //               relationship traversals dominate, so nothing amortizes and
 //               every step streams per binding.
+//  RangeScan    a two-sided age range over 10k students (the read shape of
+//               servebench's scan_large): one extent scan whose cost is the
+//               executor's fetch path — a slot index, a membership bit and
+//               an in-place unify per student. Exports only `fetched` and
+//               `results`; both are deterministic, so the regression gate
+//               checks its time one-sidedly and no time-derived counter
+//               can flap.
 //  MutationMix  interleaves attribute updates + relationship churn with a
 //               selection served by the lazily built persistent index.
 //               Exports `full_rebuilds` and `delta_applies` (index delta
@@ -16,10 +23,10 @@
 //               used to rebuild on every iteration.
 //
 // The `_Batch` suffix of the run names is historical (runs are matched by
-// name against the committed BENCH_pipeline.json). Every variant exports
-// qps plus p50/p95/p99 per-query latency (µs), measured manually per
-// iteration (google-benchmark aggregates alone cannot express tail
-// quantiles).
+// name against the committed BENCH_pipeline.json). Every variant but
+// RangeScan exports qps plus p50/p95/p99 per-query latency (µs), measured
+// manually per iteration (google-benchmark aggregates alone cannot express
+// tail quantiles).
 
 #include <algorithm>
 #include <chrono>
@@ -45,6 +52,16 @@ workload::GeneratorConfig JoinConfig() {
   return config;
 }
 
+workload::GeneratorConfig ScanConfig() {
+  workload::GeneratorConfig config;
+  config.n_students = 10'000;
+  config.n_plain_persons = 100;
+  config.n_faculty = 20;
+  config.n_courses = 10;
+  config.takes_per_student = 1;
+  return config;
+}
+
 datalog::Query MustParse(World& world, const char* text) {
   auto query =
       datalog::ParseQueryText(text, &world.pipeline->schema().catalog);
@@ -65,6 +82,11 @@ const char* kAgeJoinQuery =
 const char* kPathQuery =
     "q(X, W) :- student(oid: X), takes(X, Y), is_section_of(Y, Z), "
     "has_sections(Z, V), has_ta(V, W).";
+
+// Two-sided range over the Student extent: no index serves it, so every
+// student is fetched and about 4% are returned.
+const char* kRangeScanQuery =
+    "q(N) :- student(oid: X, name: N, age: A), A > 20, A < 24.";
 
 // Selection on an unkeyed attribute over a large extent — served by the
 // lazily built persistent secondary index once warm.
@@ -127,6 +149,26 @@ void BM_BatchEval_PathJoin_Batch(benchmark::State& state) {
                 AutoIndexOptions(/*auto_index=*/true));
 }
 BENCHMARK(BM_BatchEval_PathJoin_Batch);
+
+void BM_BatchEval_RangeScan(benchmark::State& state) {
+  World& world = CachedWorld(1, ScanConfig());
+  const datalog::Query query = MustParse(world, kRangeScanQuery);
+  obs::EvalStats stats;
+  for (auto _ : state) {
+    stats.Reset();
+    auto rows = world.db->Run(query, &stats);
+    if (!rows.ok()) {
+      state.SkipWithError(rows.status().ToString().c_str());
+      return;
+    }
+    benchmark::DoNotOptimize(rows);
+  }
+  state.counters["fetched"] =
+      benchmark::Counter(static_cast<double>(stats.objects_fetched));
+  state.counters["results"] =
+      benchmark::Counter(static_cast<double>(stats.results));
+}
+BENCHMARK(BM_BatchEval_RangeScan);
 
 /// Mutation-heavy mix: each iteration updates one student's age, toggles
 /// one `takes` pair, and runs the indexed selection. A warmup query before

@@ -32,11 +32,23 @@ std::string RelationSignature::ToString() const {
   return name + "(" + StrJoin(attributes, ", ") + ")";
 }
 
+RelationCatalog::RelationCatalog(const RelationCatalog& other)
+    : relations_(other.relations_), by_id_(other.by_id_.size()) {
+  for (const auto& [name, sig] : relations_) by_id_[sig.id] = &sig;
+}
+
+RelationCatalog& RelationCatalog::operator=(const RelationCatalog& other) {
+  if (this != &other) *this = RelationCatalog(other);
+  return *this;
+}
+
 sqo::Status RelationCatalog::Add(RelationSignature signature) {
+  signature.id = static_cast<RelationId>(by_id_.size());
   auto [it, inserted] = relations_.emplace(signature.name, std::move(signature));
   if (!inserted) {
     return sqo::InvalidArgumentError("duplicate relation name: " + it->first);
   }
+  by_id_.push_back(&it->second);
   return sqo::Status::Ok();
 }
 

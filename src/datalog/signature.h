@@ -1,6 +1,7 @@
 #ifndef SQO_DATALOG_SIGNATURE_H_
 #define SQO_DATALOG_SIGNATURE_H_
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -22,6 +23,13 @@ enum class RelationKind {
 
 std::string_view RelationKindName(RelationKind kind);
 
+/// Dense id of a catalog relation, assigned by `RelationCatalog::Add` in
+/// registration order. Ids are append-only: a relation registered later
+/// (an ASR) never renumbers an earlier one, so tables indexed by id stay
+/// valid as the catalog grows.
+using RelationId = uint32_t;
+inline constexpr RelationId kNoRelation = ~RelationId{0};
+
 /// The positional signature of one DATALOG relation: its name, provenance
 /// kind, and ordered attribute names. For class/structure relations
 /// `attributes[0]` is "oid"; for relationships the two endpoint roles; for
@@ -29,6 +37,8 @@ std::string_view RelationKindName(RelationKind kind);
 struct RelationSignature {
   std::string name;
   RelationKind kind = RelationKind::kClass;
+  /// Set by `RelationCatalog::Add`.
+  RelationId id = kNoRelation;
   std::vector<std::string> attributes;
 
   /// The original ODL spelling of the construct ("Student", "Takes",
@@ -67,11 +77,20 @@ struct RelationSignature {
 /// expansion), the query translator and the optimizer.
 class RelationCatalog {
  public:
-  /// Registers a signature. Fails on duplicate names.
+  RelationCatalog() = default;
+  RelationCatalog(const RelationCatalog& other);
+  RelationCatalog& operator=(const RelationCatalog& other);
+  RelationCatalog(RelationCatalog&&) = default;
+  RelationCatalog& operator=(RelationCatalog&&) = default;
+
+  /// Registers a signature under the next id. Fails on duplicate names.
   sqo::Status Add(RelationSignature signature);
 
   /// Looks up by relation name; nullptr if absent.
   const RelationSignature* Find(std::string_view name) const;
+
+  /// The signature with id `id`; `id` must be below `size()`.
+  const RelationSignature& ById(RelationId id) const { return *by_id_[id]; }
 
   /// Lookup that errors with kNotFound instead of returning nullptr.
   sqo::Result<const RelationSignature*> Get(std::string_view name) const;
@@ -84,6 +103,8 @@ class RelationCatalog {
 
  private:
   std::map<std::string, RelationSignature, std::less<>> relations_;
+  /// Points into `relations_` (map nodes never move), indexed by id.
+  std::vector<const RelationSignature*> by_id_;
 };
 
 }  // namespace sqo::datalog

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <chrono>
-#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -24,22 +23,28 @@ using datalog::Term;
 
 namespace {
 
-/// Structural hashing/equality for result tuples, so DISTINCT dedup works
-/// on the values themselves rather than on a stringified key (which could
-/// collide when a value's text contains the former separator byte).
-struct TupleHash {
-  size_t operator()(const std::vector<sqo::Value>& t) const {
+using Rows = std::vector<std::vector<sqo::Value>>;
+
+/// Structural hashing/equality of result tuples, addressed by their
+/// position in the result vector: DISTINCT dedups the rows the caller
+/// receives, on the values themselves rather than on a stringified key
+/// (which could collide when a value's text contains a separator byte).
+struct RowAtHash {
+  const Rows* rows;
+  size_t operator()(size_t i) const {
     size_t h = 0xcbf29ce484222325ull;
-    for (const sqo::Value& v : t) h = h * 1099511628211ull + v.Hash();
+    for (const sqo::Value& v : (*rows)[i]) h = h * 1099511628211ull + v.Hash();
     return h;
   }
 };
-struct TupleEq {
-  bool operator()(const std::vector<sqo::Value>& a,
-                  const std::vector<sqo::Value>& b) const {
+struct RowAtEq {
+  const Rows* rows;
+  bool operator()(size_t i, size_t j) const {
+    const std::vector<sqo::Value>& a = (*rows)[i];
+    const std::vector<sqo::Value>& b = (*rows)[j];
     if (a.size() != b.size()) return false;
-    for (size_t i = 0; i < a.size(); ++i) {
-      if (!a[i].Equals(b[i])) return false;
+    for (size_t k = 0; k < a.size(); ++k) {
+      if (!a[k].Equals(b[k])) return false;
     }
     return true;
   }
@@ -97,6 +102,10 @@ struct ArgSlot {
   Kind kind = kNew;
   sqo::Value constant;  // kConst
   size_t slot = 0;      // the variable's position in the binding row
+  /// kNew only: whether anything reads the slot afterwards (a later step,
+  /// a repeat in the same atom, the head). A slot nothing reads is never
+  /// written, so a fetch copies only the columns the query uses.
+  bool copy = true;
 };
 
 bool IsBound(const ArgSlot& a) {
@@ -122,6 +131,10 @@ enum class Access {
 struct PlanStep {
   const Literal* lit = nullptr;
   const RelationSignature* sig = nullptr;  // null for comparisons
+  /// `sig->id`: every store access of the step indexes by it.
+  datalog::RelationId rel = datalog::kNoRelation;
+  /// A method step's implementation; null when none is registered.
+  const ObjectStore::MethodFn* method = nullptr;
   std::vector<ArgSlot> args;
   /// Follows the plan's first relation access, so more than one binding
   /// may arrive: a class step builds candidates that do not depend on the
@@ -129,15 +142,18 @@ struct PlanStep {
   bool amortize = false;
   /// A membership guard evaluated by the scan that binds its variable.
   bool consumed = false;
-  std::vector<std::pair<size_t, std::string>> guards;  // (position, relation)
+  /// (position, relation) of each guard the step's scan checks.
+  std::vector<std::pair<size_t, datalog::RelationId>> guards;
   Access access = Access::kUnresolved;
   size_t attr = 0;  // the attribute an index probe or hash join keys on
-  // Built by the first binding of an amortized step.
+  // Built by the first binding of an amortized step: views of store rows,
+  // valid while the store is not mutated (the whole evaluation).
   bool built = false;
   uint64_t build_fetched = 0;  // guard-passing members fetched by the build
-  std::unordered_map<sqo::Value, std::vector<ObjectStore::Row>, sqo::ValueHash>
+  std::unordered_map<sqo::Value, std::vector<ObjectStore::RowView>,
+                     sqo::ValueHash>
       table;                                         // hash join
-  std::vector<ObjectStore::Row> rows;                // shared extent scan
+  std::vector<ObjectStore::RowView> rows;            // shared extent scan
   std::vector<std::pair<sqo::Oid, sqo::Oid>> pairs;  // shared pair scan
 };
 
@@ -153,10 +169,10 @@ class Execution {
       : store_(store), query_(query), options_(options), stats_(stats),
         profile_(profile), plan_(plan) {}
 
-  sqo::Status Run(const std::vector<size_t>& order,
-                  std::vector<std::vector<sqo::Value>>* out) {
+  sqo::Status Run(const std::vector<size_t>& order, Rows* out) {
     order_ = &order;
     out_ = out;
+    dedup_ = Dedup(0, RowAtHash{out}, RowAtEq{out});
     if (profile_ != nullptr) SetUpProfile();
     Prepare();
     return Step(0);
@@ -227,17 +243,19 @@ class Execution {
       if (atom.is_comparison()) continue;
       s.sig = store_.schema().catalog.Find(atom.predicate());
       if (s.sig != nullptr && s.sig->arity() != atom.arity()) s.sig = nullptr;
+      if (s.sig != nullptr) {
+        s.rel = s.sig->id;
+        if (s.sig->kind == RelationKind::kMethod) s.method = store_.Method(s.rel);
+      }
       if (!s.lit->positive) continue;  // negation never binds
       if (s.sig != nullptr &&
           (s.sig->kind == RelationKind::kClass ||
            s.sig->kind == RelationKind::kStructure) &&
           s.args[0].kind == ArgSlot::kNew) {
         for (size_t j = k + 1; j < order_->size(); ++j) {
-          std::string relation;
-          if (IsMembershipGuard(query_, (*order_)[j],
-                                atom.args()[0].var_name(), store_,
-                                &relation)) {
-            s.guards.emplace_back(j, std::move(relation));
+          if (const RelationSignature* guard = MembershipGuard(
+                  query_, (*order_)[j], atom.args()[0].var_name(), store_)) {
+            s.guards.emplace_back(j, guard->id);
             steps_[j].consumed = true;
           }
         }
@@ -248,7 +266,8 @@ class Execution {
       accessed = true;
     }
     head_.reserve(query_.head_args.size());
-    for (const Term& t : query_.head_args) {
+    for (size_t i = 0; i < query_.head_args.size(); ++i) {
+      const Term& t = query_.head_args[i];
       ArgSlot a;
       if (t.is_constant()) {
         a.kind = ArgSlot::kConst;
@@ -257,7 +276,27 @@ class Execution {
         a.slot = SlotOf(t);
         a.kind = bound_[a.slot] ? ArgSlot::kBound : ArgSlot::kNew;
       }
+      if (!IsBound(a) && unbound_head_ < 0) unbound_head_ = static_cast<int>(i);
       head_.push_back(std::move(a));
+    }
+    // A slot is written only when something reads it later. A consumed
+    // guard reads nothing: its scan tests the candidate's OID.
+    std::vector<bool> read(vars_.size(), false);
+    for (const PlanStep& s : steps_) {
+      if (s.consumed) continue;
+      for (const ArgSlot& a : s.args) {
+        if (a.kind == ArgSlot::kBound || a.kind == ArgSlot::kRepeat) {
+          read[a.slot] = true;
+        }
+      }
+    }
+    for (const ArgSlot& a : head_) {
+      if (a.kind == ArgSlot::kBound) read[a.slot] = true;
+    }
+    for (PlanStep& s : steps_) {
+      for (ArgSlot& a : s.args) {
+        if (a.kind == ArgSlot::kNew) a.copy = read[a.slot];
+      }
     }
   }
 
@@ -265,20 +304,16 @@ class Execution {
     return a.kind == ArgSlot::kConst ? a.constant : row_[a.slot];
   }
 
-  /// Matches a candidate (a store row or an OID pair) against a step's
-  /// arguments: constants, bound and repeated variables compare (one
-  /// comparison each, stopping at the first mismatch), new variables bind
-  /// their slot. An rvalue candidate is moved from.
+  /// Matches a candidate (a view of a store row or an OID pair) against a
+  /// step's arguments in place: constants, bound and repeated variables
+  /// compare (one comparison each, stopping at the first mismatch), new
+  /// variables that something reads later copy into their slot.
   template <typename Candidate>
-  bool Unify(const std::vector<ArgSlot>& args, Candidate&& cand) {
+  bool Unify(const std::vector<ArgSlot>& args, const Candidate& cand) {
     for (size_t i = 0; i < args.size(); ++i) {
       const ArgSlot& a = args[i];
       if (a.kind == ArgSlot::kNew) {
-        if constexpr (std::is_lvalue_reference_v<Candidate>) {
-          row_[a.slot] = cand[i];
-        } else {
-          row_[a.slot] = std::move(cand[i]);
-        }
+        if (a.copy) row_[a.slot] = cand[i];
         continue;
       }
       ++stats_.comparisons;
@@ -291,7 +326,9 @@ class Execution {
   template <typename Candidate>
   void Bind(const std::vector<ArgSlot>& args, const Candidate& cand) {
     for (size_t i = 0; i < args.size(); ++i) {
-      if (args[i].kind == ArgSlot::kNew) row_[args[i].slot] = cand[i];
+      if (args[i].kind == ArgSlot::kNew && args[i].copy) {
+        row_[args[i].slot] = cand[i];
+      }
     }
   }
 
@@ -435,18 +472,18 @@ class Execution {
           }
           if (!constrained) {
             // Pure membership test: no object fetch needed.
-            return store_.IsMember(name, oid.AsOid());
+            return store_.IsMember(s.rel, oid.AsOid());
           }
-          auto row = store_.RowAs(name, oid.AsOid());
-          if (!row.has_value()) return false;
+          const ObjectStore::RowView row = store_.RowAs(s.rel, oid.AsOid());
+          if (row.empty()) return false;
           ++stats_.objects_fetched;
-          return Unify(args, std::move(*row));
+          return Unify(args, row);
         }
         ++stats_.extent_scans;
-        for (sqo::Oid candidate : store_.Extent(name)) {
-          auto row = store_.RowAs(name, candidate);
+        for (sqo::Oid candidate : store_.Extent(s.rel)) {
+          const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
           ++stats_.objects_fetched;
-          if (Unify(args, std::move(*row))) return true;
+          if (Unify(args, row)) return true;
         }
         return false;
       }
@@ -498,9 +535,8 @@ class Execution {
               "negated method atom requires bound arguments");
         }
         ++stats_.method_invocations;
-        SQO_ASSIGN_OR_RETURN(
-            sqo::Value result,
-            store_.InvokeMethod(name, ValueOf(args[0]).AsOid(), inputs));
+        SQO_ASSIGN_OR_RETURN(sqo::Value result,
+                             Invoke(s, ValueOf(args[0]).AsOid(), inputs));
         if (!IsBound(args.back())) return true;  // some result always exists
         ++stats_.comparisons;
         return ValueOf(args.back()).Equals(result);
@@ -525,9 +561,9 @@ class Execution {
                     const std::vector<sqo::Oid>& oids) {
     for (sqo::Oid candidate : oids) {
       if (!PassesGuards(s, candidate)) continue;
-      auto row = store_.RowAs(s.sig->name, candidate);
+      const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
       ++stats_.objects_fetched;
-      if (Unify(s.args, std::move(*row))) SQO_RETURN_IF_ERROR(Advance(k));
+      if (Unify(s.args, row)) SQO_RETURN_IF_ERROR(Advance(k));
     }
     return sqo::Status::Ok();
   }
@@ -566,7 +602,7 @@ class Execution {
     for (size_t i = 1; options_.auto_index && i < s.args.size(); ++i) {
       if (!IsBound(s.args[i])) continue;
       bool indexed = false;
-      store_.LazyIndexLookup(sig.name, i, ValueOf(s.args[i]),
+      store_.LazyIndexLookup(s.rel, i, ValueOf(s.args[i]),
                              options_.auto_index_min_extent, &indexed);
       if (indexed) return settle(Access::kLazyIndex, i, "lazy-index-probe", true);
     }
@@ -587,15 +623,14 @@ class Execution {
   /// comparisons do not depend on the access path; `extent_scans` counts
   /// physical scans and so records the amortization.
   sqo::Status ClassStep(size_t k, PlanStep& s, obs::ProfileNode* node) {
-    const std::string& name = s.sig->name;
     if (IsBound(s.args[0])) {
-      if (Unlabeled(node)) Label(node, "oid-lookup", name);
+      if (Unlabeled(node)) Label(node, "oid-lookup", s.sig->name);
       const sqo::Value& oid = ValueOf(s.args[0]);
       if (oid.kind() != sqo::ValueKind::kOid) return sqo::Status::Ok();
-      auto row = store_.RowAs(name, oid.AsOid());
-      if (!row.has_value()) return sqo::Status::Ok();
+      const ObjectStore::RowView row = store_.RowAs(s.rel, oid.AsOid());
+      if (row.empty()) return sqo::Status::Ok();
       ++stats_.objects_fetched;
-      return Unify(s.args, std::move(*row)) ? Advance(k) : sqo::Status::Ok();
+      return Unify(s.args, row) ? Advance(k) : sqo::Status::Ok();
     }
     if (s.access == Access::kUnresolved) ResolveAccess(s, node);
     switch (s.access) {
@@ -609,8 +644,8 @@ class Execution {
         bool indexed = false;
         const std::vector<sqo::Oid>* oids =
             s.access == Access::kIndex
-                ? store_.IndexLookup(name, s.attr, key)
-                : store_.LazyIndexLookup(name, s.attr, key,
+                ? store_.IndexLookup(s.rel, s.attr, key)
+                : store_.LazyIndexLookup(s.rel, s.attr, key,
                                          options_.auto_index_min_extent,
                                          &indexed);
         return oids != nullptr ? Probe(k, s, *oids) : sqo::Status::Ok();
@@ -618,24 +653,23 @@ class Execution {
       case Access::kScan:
         SQO_FAILPOINT("eval.scan");
         ++stats_.extent_scans;
-        return Probe(k, s, store_.Extent(name));
+        return Probe(k, s, store_.Extent(s.rel));
       case Access::kHashJoin: {
         if (!s.built) {
           SQO_FAILPOINT("eval.scan");
           ++stats_.extent_scans;
-          for (sqo::Oid candidate : store_.Extent(name)) {
+          for (sqo::Oid candidate : store_.Extent(s.rel)) {
             if (!PassesGuards(s, candidate)) continue;
-            auto row = store_.RowAs(name, candidate);
+            const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
             ++s.build_fetched;
-            sqo::Value key = (*row)[s.attr];
-            s.table[std::move(key)].push_back(std::move(*row));
+            s.table[row[s.attr]].push_back(row);
           }
           s.built = true;
         }
         stats_.objects_fetched += s.build_fetched;
         auto it = s.table.find(ValueOf(s.args[s.attr]));
         if (it == s.table.end()) return sqo::Status::Ok();
-        for (const ObjectStore::Row& cand : it->second) {
+        for (const ObjectStore::RowView& cand : it->second) {
           if (Unify(s.args, cand)) SQO_RETURN_IF_ERROR(Advance(k));
         }
         return sqo::Status::Ok();
@@ -644,16 +678,16 @@ class Execution {
         if (!s.built) {
           SQO_FAILPOINT("eval.scan");
           ++stats_.extent_scans;
-          for (sqo::Oid candidate : store_.Extent(name)) {
+          for (sqo::Oid candidate : store_.Extent(s.rel)) {
             if (!PassesGuards(s, candidate)) continue;
-            auto row = store_.RowAs(name, candidate);
+            const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
             ++s.build_fetched;
-            if (Unify(s.args, *row)) s.rows.push_back(std::move(*row));
+            if (Unify(s.args, row)) s.rows.push_back(row);
           }
           s.built = true;
         }
         stats_.objects_fetched += s.build_fetched;
-        for (const ObjectStore::Row& cand : s.rows) {
+        for (const ObjectStore::RowView& cand : s.rows) {
           Bind(s.args, cand);
           SQO_RETURN_IF_ERROR(Advance(k));
         }
@@ -726,6 +760,16 @@ class Execution {
     return true;
   }
 
+  /// Calls the method the step resolved in Prepare.
+  sqo::Result<sqo::Value> Invoke(const PlanStep& s, sqo::Oid receiver,
+                                 const std::vector<sqo::Value>& inputs) const {
+    if (s.method == nullptr) {
+      return sqo::NotFoundError("method '" + s.sig->name +
+                                "' has no implementation");
+    }
+    return (*s.method)(store_, receiver, inputs);
+  }
+
   sqo::Status MethodStep(size_t k, const PlanStep& s, obs::ProfileNode* node) {
     const Atom& atom = s.lit->atom;
     if (Unlabeled(node)) Label(node, "invoke", s.sig->name);
@@ -741,9 +785,7 @@ class Execution {
                                        atom.ToString());
     }
     ++stats_.method_invocations;
-    SQO_ASSIGN_OR_RETURN(
-        sqo::Value result,
-        store_.InvokeMethod(s.sig->name, receiver.AsOid(), inputs));
+    SQO_ASSIGN_OR_RETURN(sqo::Value result, Invoke(s, receiver.AsOid(), inputs));
     const ArgSlot& out = s.args.back();
     if (IsBound(out)) {
       ++stats_.comparisons;
@@ -764,25 +806,24 @@ class Execution {
     if (ExecutionContext* governance = CurrentContext()) {
       SQO_RETURN_IF_ERROR(governance->ChargeEvalRows());
     }
-    std::vector<sqo::Value> tuple;
-    tuple.reserve(head_.size());
-    for (size_t i = 0; i < head_.size(); ++i) {
-      if (!IsBound(head_[i])) {
-        return sqo::InvalidArgumentError("projected variable never bound: " +
-                                         query_.head_args[i].ToString());
-      }
-      tuple.push_back(ValueOf(head_[i]));
+    if (unbound_head_ >= 0) {
+      return sqo::InvalidArgumentError("projected variable never bound: " +
+                                       query_.head_args[unbound_head_].ToString());
     }
     ++stats_.tuples_emitted;
     if (options_.max_tuples != 0 && stats_.tuples_emitted > options_.max_tuples) {
       return sqo::ResourceExhaustedError("result limit exceeded");
     }
-    if (options_.distinct) {
-      if (!dedup_.insert(tuple).second) return sqo::Status::Ok();
+    // The tuple is built once, in place; a duplicate is taken back out.
+    std::vector<sqo::Value>& tuple = out_->emplace_back();
+    tuple.reserve(head_.size());
+    for (const ArgSlot& a : head_) tuple.push_back(ValueOf(a));
+    if (options_.distinct && !dedup_.insert(out_->size() - 1).second) {
+      out_->pop_back();
+      return sqo::Status::Ok();
     }
     ++stats_.results;
     if (emit != nullptr) ++emit->rows_out;
-    out_->push_back(std::move(tuple));
     return sqo::Status::Ok();
   }
 
@@ -791,8 +832,10 @@ class Execution {
   const EvalOptions& options_;
   obs::EvalStats& stats_;
   const std::vector<size_t>* order_ = nullptr;
-  std::vector<std::vector<sqo::Value>>* out_ = nullptr;
-  std::unordered_set<std::vector<sqo::Value>, TupleHash, TupleEq> dedup_;
+  Rows* out_ = nullptr;
+  /// DISTINCT: positions in `out_` of the rows kept so far.
+  using Dedup = std::unordered_set<size_t, RowAtHash, RowAtEq>;
+  Dedup dedup_{0, RowAtHash{nullptr}, RowAtEq{nullptr}};
 
   // The binding row: slot i holds variable vars_[i]; bound_ tracks, during
   // Prepare, which slots are bound at the position being resolved.
@@ -801,6 +844,7 @@ class Execution {
   std::vector<bool> bound_;
   std::vector<PlanStep> steps_;
   std::vector<ArgSlot> head_;
+  int unbound_head_ = -1;  // first head argument no step binds, if any
 
   // EXPLAIN ANALYZE state (all inert when profile_ is null).
   obs::QueryProfile* profile_;

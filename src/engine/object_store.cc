@@ -21,43 +21,60 @@ const std::vector<std::pair<sqo::Oid, sqo::Oid>>& EmptyPairs() {
 }
 }  // namespace
 
-std::vector<std::string> ObjectStore::MemberRelations(
-    const std::string& exact_relation) const {
-  std::vector<std::string> out;
-  const RelationSignature* sig = schema_->catalog.Find(exact_relation);
-  if (sig == nullptr) return out;
-  if (sig->kind == RelationKind::kStructure) {
-    out.push_back(exact_relation);
-    return out;
-  }
-  const odl::ClassInfo* cls = schema_->schema.FindClass(sig->owner);
-  while (cls != nullptr) {
-    out.push_back(schema_->RelationFor(cls->name));
-    cls = cls->super.empty() ? nullptr : schema_->schema.FindClass(cls->super);
-  }
-  return out;
-}
-
-void ObjectStore::InstallRecord(sqo::Oid oid, const std::string& relation,
-                                Row row) {
-  ObjectRecord record;
-  record.exact_relation = relation;
-  record.row = std::move(row);
-  const Row& stored = objects_.emplace(oid.raw(), std::move(record))
-                          .first->second.row;
-
-  const std::vector<std::string> members = MemberRelations(relation);
-  for (const std::string& member : members) {
-    extents_[member].push_back(oid);
-    // Maintain any indexes on the member relation.
-    auto idx_it = indexes_.find(member);
-    if (idx_it != indexes_.end()) {
-      for (auto& [pos, index] : idx_it->second) {
-        if (pos < stored.size()) index[stored[pos]].push_back(oid);
+ObjectStore::ObjectStore(const translate::TranslatedSchema* schema)
+    : schema_(schema) {
+  const datalog::RelationCatalog& catalog = schema_->catalog;
+  const size_t n = catalog.size();
+  members_.resize(n);
+  extents_.resize(n);
+  indexes_.resize(n);
+  methods_.resize(n);
+  lazy_indexes_.resize(n);
+  for (const auto& [name, sig] : catalog.relations()) {
+    std::vector<datalog::RelationId>& members = members_[sig.id];
+    if (sig.kind == RelationKind::kStructure) {
+      members.push_back(sig.id);
+    } else if (sig.kind == RelationKind::kClass) {
+      const odl::ClassInfo* cls = schema_->schema.FindClass(sig.owner);
+      while (cls != nullptr) {
+        if (const RelationSignature* rel =
+                catalog.Find(schema_->RelationFor(cls->name))) {
+          members.push_back(rel->id);
+        }
+        cls = cls->super.empty() ? nullptr : schema_->schema.FindClass(cls->super);
       }
     }
   }
-  LazyIndexInsert(members, stored, oid);
+  member_words_ = (n + 63) / 64;
+  member_bits_.assign(n * member_words_, 0);
+  for (datalog::RelationId exact = 0; exact < n; ++exact) {
+    for (datalog::RelationId rel : members_[exact]) {
+      member_bits_[exact * member_words_ + rel / 64] |= uint64_t{1} << (rel % 64);
+    }
+  }
+}
+
+datalog::RelationId ObjectStore::Resolve(const std::string& name) const {
+  const RelationSignature* sig = schema_->catalog.Find(name);
+  return sig == nullptr ? datalog::kNoRelation : sig->id;
+}
+
+void ObjectStore::InstallRecord(sqo::Oid oid, datalog::RelationId exact,
+                                Row row) {
+  if (oid.raw() >= slots_.size()) slots_.resize(oid.raw() + 1);
+  Slot& slot = slots_[oid.raw()];
+  slot.exact = exact;
+  slot.row = std::move(row);
+  ++object_count_;
+  const Row& stored = slot.row;
+  for (datalog::RelationId member : members_[exact]) {
+    extents_[member].push_back(oid);
+    // Maintain any indexes on the member relation.
+    for (auto& [pos, index] : indexes_[member]) {
+      if (pos < stored.size()) index[stored[pos]].push_back(oid);
+    }
+  }
+  LazyIndexInsert(exact, stored, oid);
 }
 
 sqo::Result<sqo::Oid> ObjectStore::CreateInstance(
@@ -91,7 +108,7 @@ sqo::Result<sqo::Oid> ObjectStore::CreateInstance(
     m.row = row;
     pending_.push_back(std::move(m));
   }
-  InstallRecord(oid, relation, std::move(row));
+  InstallRecord(oid, sig->id, std::move(row));
   SQO_RETURN_IF_ERROR(FlushMutations());
   return oid;
 }
@@ -231,55 +248,50 @@ sqo::Status ObjectStore::Unrelate(const std::string& relationship, sqo::Oid src,
 
 sqo::Status ObjectStore::UpdateRowPosition(sqo::Oid oid, size_t pos,
                                            sqo::Value value) {
-  auto it = objects_.find(oid.raw());
-  if (it == objects_.end()) {
+  Slot* slot = Find(oid);
+  if (slot == nullptr) {
     return sqo::NotFoundError("no object @" + std::to_string(oid.raw()));
   }
-  ObjectRecord& record = it->second;
-  if (pos == 0 || pos >= record.row.size()) {
+  if (pos == 0 || pos >= slot->row.size()) {
     return sqo::InvalidArgumentError("attribute position out of range");
   }
-  const sqo::Value old_value = record.row[pos];
-  record.row[pos] = std::move(value);
+  const sqo::Value old_value = slot->row[pos];
+  slot->row[pos] = std::move(value);
+  const sqo::Value& new_value = slot->row[pos];
   // Maintain indexes on every member relation covering this position.
-  const std::vector<std::string> members =
-      MemberRelations(record.exact_relation);
-  for (const std::string& member : members) {
-    auto idx_it = indexes_.find(member);
-    if (idx_it == indexes_.end()) continue;
-    auto pit = idx_it->second.find(pos);
-    if (pit == idx_it->second.end()) continue;
+  for (datalog::RelationId member : members_[slot->exact]) {
+    auto pit = indexes_[member].find(pos);
+    if (pit == indexes_[member].end()) continue;
     auto old_bucket = pit->second.find(old_value);
     if (old_bucket != pit->second.end()) {
       auto& oids = old_bucket->second;
       oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
       if (oids.empty()) pit->second.erase(old_bucket);
     }
-    pit->second[record.row[pos]].push_back(oid);
+    pit->second[new_value].push_back(oid);
   }
-  LazyIndexUpdate(members, pos, old_value, record.row[pos], oid);
+  LazyIndexUpdate(slot->exact, pos, old_value, new_value, oid);
   return sqo::Status::Ok();
 }
 
 sqo::Status ObjectStore::UpdateAttribute(sqo::Oid oid,
                                          const std::string& attribute,
                                          sqo::Value value) {
-  auto it = objects_.find(oid.raw());
-  if (it == objects_.end()) {
+  const Slot* slot = Find(oid);
+  if (slot == nullptr) {
     return sqo::NotFoundError("no object @" + std::to_string(oid.raw()));
   }
-  ObjectRecord& record = it->second;
-  const RelationSignature* sig = schema_->catalog.Find(record.exact_relation);
-  auto pos = sig->AttributeIndex(sqo::ToLower(attribute));
+  const RelationSignature& sig = schema_->catalog.ById(slot->exact);
+  auto pos = sig.AttributeIndex(sqo::ToLower(attribute));
   if (!pos.has_value() || *pos == 0) {
-    return sqo::InvalidArgumentError("type '" + sig->display_name +
+    return sqo::InvalidArgumentError("type '" + sig.display_name +
                                      "' has no attribute '" + attribute + "'");
   }
   if (listener_) {
     Mutation m;
     m.kind = Mutation::Kind::kUpdate;
     m.oid = oid;
-    m.relation = record.exact_relation;
+    m.relation = sig.name;
     m.pos = *pos;
     m.value = value;
     pending_.push_back(std::move(m));
@@ -290,11 +302,9 @@ sqo::Status ObjectStore::UpdateAttribute(sqo::Oid oid,
 }
 
 sqo::Status ObjectStore::DeleteObjectImpl(sqo::Oid oid, bool record_mutations) {
-  auto it = objects_.find(oid.raw());
-  if (it == objects_.end()) {
+  if (Find(oid) == nullptr) {
     return sqo::NotFoundError("no object @" + std::to_string(oid.raw()));
   }
-  const ObjectRecord record = std::move(it->second);
 
   // Drop relationship pairs touching the object.
   for (auto& [rel, data] : rels_) {
@@ -308,33 +318,30 @@ sqo::Status ObjectStore::DeleteObjectImpl(sqo::Oid oid, bool record_mutations) {
   }
 
   // Remove from extents and indexes.
-  const std::vector<std::string> members =
-      MemberRelations(record.exact_relation);
-  for (const std::string& member : members) {
-    auto ext_it = extents_.find(member);
-    if (ext_it != extents_.end()) {
-      auto& oids = ext_it->second;
-      oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
-    }
-    auto idx_it = indexes_.find(member);
-    if (idx_it == indexes_.end()) continue;
-    for (auto& [pos, index] : idx_it->second) {
-      if (pos >= record.row.size()) continue;
-      auto bucket = index.find(record.row[pos]);
+  Slot& slot = slots_[oid.raw()];
+  const datalog::RelationId exact = slot.exact;
+  const Row row = std::move(slot.row);
+  slot = Slot{};
+  --object_count_;
+  for (datalog::RelationId member : members_[exact]) {
+    auto& extent = extents_[member];
+    extent.erase(std::remove(extent.begin(), extent.end(), oid), extent.end());
+    for (auto& [pos, index] : indexes_[member]) {
+      if (pos >= row.size()) continue;
+      auto bucket = index.find(row[pos]);
       if (bucket == index.end()) continue;
       auto& oids = bucket->second;
       oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
       if (oids.empty()) index.erase(bucket);
     }
   }
-  LazyIndexErase(members, record.row, oid);
+  LazyIndexErase(exact, row, oid);
 
-  objects_.erase(oid.raw());
   if (record_mutations) {
     Mutation m;
     m.kind = Mutation::Kind::kDelete;
     m.oid = oid;
-    m.relation = record.exact_relation;
+    m.relation = schema_->catalog.ById(exact).name;
     Record(std::move(m));
   }
   return sqo::Status::Ok();
@@ -352,7 +359,8 @@ sqo::Status ObjectStore::RegisterMethod(const std::string& method, MethodFn fn) 
   if (sig == nullptr || sig->kind != RelationKind::kMethod) {
     return sqo::NotFoundError("unknown method '" + method + "'");
   }
-  methods_[rel] = std::move(fn);
+  if (sig->id >= methods_.size()) methods_.resize(sig->id + 1);
+  methods_[sig->id] = std::move(fn);
   return sqo::Status::Ok();
 }
 
@@ -371,11 +379,10 @@ sqo::Status ObjectStore::CreateIndex(const std::string& relation,
                                      attribute + "'");
   }
   HashIndex index;
-  for (sqo::Oid oid : Extent(rel)) {
-    auto row = RowAs(rel, oid);
-    index[(*row)[*pos]].push_back(oid);
+  for (sqo::Oid oid : Extent(sig->id)) {
+    index[slots_[oid.raw()].row[*pos]].push_back(oid);
   }
-  indexes_[rel][*pos] = std::move(index);
+  indexes_[sig->id][*pos] = std::move(index);
   return sqo::Status::Ok();
 }
 
@@ -549,44 +556,35 @@ void ObjectStore::RefreshStaleAsrs() {
   }
 }
 
+const std::vector<sqo::Oid>& ObjectStore::Extent(
+    datalog::RelationId relation) const {
+  return relation < extents_.size() ? extents_[relation] : EmptyOids();
+}
+
 const std::vector<sqo::Oid>& ObjectStore::Extent(const std::string& relation) const {
-  auto it = extents_.find(relation);
-  return it == extents_.end() ? EmptyOids() : it->second;
+  return Extent(Resolve(relation));
 }
 
 bool ObjectStore::IsMember(const std::string& relation, sqo::Oid oid) const {
-  auto it = objects_.find(oid.raw());
-  if (it == objects_.end()) return false;
-  for (const std::string& member : MemberRelations(it->second.exact_relation)) {
-    if (member == relation) return true;
-  }
-  return false;
+  return IsMember(Resolve(relation), oid);
 }
 
-std::optional<ObjectStore::Row> ObjectStore::RowAs(const std::string& relation,
-                                                   sqo::Oid oid) const {
-  auto it = objects_.find(oid.raw());
-  if (it == objects_.end()) return std::nullopt;
-  if (!IsMember(relation, oid)) return std::nullopt;
-  const RelationSignature* sig = schema_->catalog.Find(relation);
-  if (sig == nullptr) return std::nullopt;
-  const Row& full = it->second.row;
-  if (sig->arity() > full.size()) return std::nullopt;
-  return Row(full.begin(), full.begin() + static_cast<long>(sig->arity()));
+ObjectStore::RowView ObjectStore::RowAs(const std::string& relation,
+                                        sqo::Oid oid) const {
+  return RowAs(Resolve(relation), oid);
 }
 
 sqo::Result<sqo::Value> ObjectStore::AttributeOf(const std::string& relation,
                                                  sqo::Oid oid, size_t pos) const {
-  auto it = objects_.find(oid.raw());
-  if (it == objects_.end() || !IsMember(relation, oid)) {
+  const Slot* slot = Find(oid);
+  if (slot == nullptr || !Covers(slot->exact, Resolve(relation))) {
     return sqo::NotFoundError("object @" + std::to_string(oid.raw()) +
                               " is not a member of '" + relation + "'");
   }
-  const Row& full = it->second.row;
-  if (pos >= full.size()) {
+  if (pos >= slot->row.size()) {
     return sqo::InvalidArgumentError("attribute position out of range");
   }
-  return full[pos];
+  return slot->row[pos];
 }
 
 const std::vector<std::pair<sqo::Oid, sqo::Oid>>& ObjectStore::Pairs(
@@ -625,39 +623,46 @@ const std::vector<sqo::Oid>& ObjectStore::ReverseNeighbors(
   return bit == it->second.bwd.end() ? EmptyOids() : bit->second;
 }
 
+const ObjectStore::MethodFn* ObjectStore::Method(
+    datalog::RelationId method) const {
+  return method < methods_.size() && methods_[method] ? &methods_[method]
+                                                       : nullptr;
+}
+
 sqo::Result<sqo::Value> ObjectStore::InvokeMethod(
     const std::string& method, sqo::Oid receiver,
     const std::vector<sqo::Value>& args) const {
-  auto it = methods_.find(sqo::ToLower(method));
-  if (it == methods_.end()) {
+  const MethodFn* fn = Method(Resolve(sqo::ToLower(method)));
+  if (fn == nullptr) {
     return sqo::NotFoundError("method '" + method + "' has no implementation");
   }
-  return it->second(*this, receiver, args);
+  return (*fn)(*this, receiver, args);
 }
 
 bool ObjectStore::HasIndex(const std::string& relation, size_t pos) const {
-  auto it = indexes_.find(relation);
-  return it != indexes_.end() && it->second.count(pos) > 0;
+  const datalog::RelationId rel = Resolve(relation);
+  return rel < indexes_.size() && indexes_[rel].count(pos) > 0;
 }
 
 const std::vector<sqo::Oid>* ObjectStore::IndexLookup(
-    const std::string& relation, size_t pos, const sqo::Value& value) const {
-  auto it = indexes_.find(relation);
-  if (it == indexes_.end()) return nullptr;
-  auto pit = it->second.find(pos);
-  if (pit == it->second.end()) return nullptr;
+    datalog::RelationId relation, size_t pos, const sqo::Value& value) const {
+  if (relation >= indexes_.size()) return nullptr;
+  auto pit = indexes_[relation].find(pos);
+  if (pit == indexes_[relation].end()) return nullptr;
   auto vit = pit->second.find(value);
   return vit == pit->second.end() ? nullptr : &vit->second;
 }
 
-void ObjectStore::LazyIndexInsert(const std::vector<std::string>& members,
-                                  const Row& row, sqo::Oid oid) {
+const std::vector<sqo::Oid>* ObjectStore::IndexLookup(
+    const std::string& relation, size_t pos, const sqo::Value& value) const {
+  return IndexLookup(Resolve(relation), pos, value);
+}
+
+void ObjectStore::LazyIndexInsert(datalog::RelationId exact, const Row& row,
+                                  sqo::Oid oid) {
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (lazy_indexes_.empty()) return;
-  for (const std::string& member : members) {
-    auto rel_it = lazy_indexes_.find(member);
-    if (rel_it == lazy_indexes_.end()) continue;
-    for (auto& [pos, index] : rel_it->second) {
+  for (datalog::RelationId member : members_[exact]) {
+    for (auto& [pos, index] : lazy_indexes_[member]) {
       if (pos >= row.size()) continue;
       index[row[pos]].push_back(oid);
       obs::Count("index.delta_applies");
@@ -665,16 +670,13 @@ void ObjectStore::LazyIndexInsert(const std::vector<std::string>& members,
   }
 }
 
-void ObjectStore::LazyIndexUpdate(const std::vector<std::string>& members,
-                                  size_t pos, const sqo::Value& old_value,
+void ObjectStore::LazyIndexUpdate(datalog::RelationId exact, size_t pos,
+                                  const sqo::Value& old_value,
                                   const sqo::Value& new_value, sqo::Oid oid) {
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (lazy_indexes_.empty()) return;
-  for (const std::string& member : members) {
-    auto rel_it = lazy_indexes_.find(member);
-    if (rel_it == lazy_indexes_.end()) continue;
-    auto pos_it = rel_it->second.find(pos);
-    if (pos_it == rel_it->second.end()) continue;
+  for (datalog::RelationId member : members_[exact]) {
+    auto pos_it = lazy_indexes_[member].find(pos);
+    if (pos_it == lazy_indexes_[member].end()) continue;
     HashIndex& index = pos_it->second;
     auto old_bucket = index.find(old_value);
     if (old_bucket != index.end()) {
@@ -687,14 +689,11 @@ void ObjectStore::LazyIndexUpdate(const std::vector<std::string>& members,
   }
 }
 
-void ObjectStore::LazyIndexErase(const std::vector<std::string>& members,
-                                 const Row& row, sqo::Oid oid) {
+void ObjectStore::LazyIndexErase(datalog::RelationId exact, const Row& row,
+                                 sqo::Oid oid) {
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  if (lazy_indexes_.empty()) return;
-  for (const std::string& member : members) {
-    auto rel_it = lazy_indexes_.find(member);
-    if (rel_it == lazy_indexes_.end()) continue;
-    for (auto& [pos, index] : rel_it->second) {
+  for (datalog::RelationId member : members_[exact]) {
+    for (auto& [pos, index] : lazy_indexes_[member]) {
       if (pos >= row.size()) continue;
       auto bucket = index.find(row[pos]);
       if (bucket == index.end()) continue;
@@ -707,27 +706,24 @@ void ObjectStore::LazyIndexErase(const std::vector<std::string>& members,
 }
 
 const std::vector<sqo::Oid>* ObjectStore::LazyIndexLookup(
-    const std::string& relation, size_t pos, const sqo::Value& value,
+    datalog::RelationId relation, size_t pos, const sqo::Value& value,
     size_t min_extent, bool* built) const {
   if (built != nullptr) *built = false;
+  if (relation >= lazy_indexes_.size()) return nullptr;
   std::lock_guard<std::mutex> lock(lazy_mu_);
-  HashIndex* index = nullptr;
-  auto rel_it = lazy_indexes_.find(relation);
-  if (rel_it != lazy_indexes_.end()) {
-    auto pos_it = rel_it->second.find(pos);
-    if (pos_it != rel_it->second.end()) index = &pos_it->second;
-  }
+  std::map<size_t, HashIndex>& positions = lazy_indexes_[relation];
+  auto pos_it = positions.find(pos);
+  HashIndex* index = pos_it == positions.end() ? nullptr : &pos_it->second;
   if (index == nullptr) {
     const std::vector<sqo::Oid>& extent = Extent(relation);
     if (extent.size() < min_extent) return nullptr;
     HashIndex fresh;
     fresh.reserve(extent.size());
     for (sqo::Oid oid : extent) {
-      auto it = objects_.find(oid.raw());
-      if (it == objects_.end() || pos >= it->second.row.size()) continue;
-      fresh[it->second.row[pos]].push_back(oid);
+      const Row& row = slots_[oid.raw()].row;
+      if (pos < row.size()) fresh[row[pos]].push_back(oid);
     }
-    index = &(lazy_indexes_[relation][pos] = std::move(fresh));
+    index = &(positions[pos] = std::move(fresh));
     // A (relation, pos) that was built before only reaches this path after
     // Clear() wiped the tables: that is a full rebuild, the event the
     // delta-apply maintenance exists to avoid.
@@ -742,14 +738,21 @@ const std::vector<sqo::Oid>* ObjectStore::LazyIndexLookup(
   return vit == index->end() ? nullptr : &vit->second;
 }
 
+const std::vector<sqo::Oid>* ObjectStore::LazyIndexLookup(
+    const std::string& relation, size_t pos, const sqo::Value& value,
+    size_t min_extent, bool* built) const {
+  return LazyIndexLookup(Resolve(relation), pos, value, min_extent, built);
+}
+
 std::vector<ObjectStore::SecondaryIndexDump>
 ObjectStore::DumpSecondaryIndexes() const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
   std::vector<SecondaryIndexDump> dumps;
-  for (const auto& [relation, positions] : lazy_indexes_) {
-    for (const auto& [pos, index] : positions) {
+  for (datalog::RelationId relation = 0; relation < lazy_indexes_.size();
+       ++relation) {
+    for (const auto& [pos, index] : lazy_indexes_[relation]) {
       SecondaryIndexDump dump;
-      dump.relation = relation;
+      dump.relation = schema_->catalog.ById(relation).name;
       dump.pos = pos;
       dump.entries.reserve(index.size());
       for (const auto& [value, oids] : index) {
@@ -764,18 +767,25 @@ ObjectStore::DumpSecondaryIndexes() const {
       dumps.push_back(std::move(dump));
     }
   }
+  // Relation-name order, as the snapshot's index section has always used.
+  std::stable_sort(dumps.begin(), dumps.end(),
+                   [](const SecondaryIndexDump& a, const SecondaryIndexDump& b) {
+                     return a.relation < b.relation;
+                   });
   return dumps;
 }
 
 void ObjectStore::RestoreSecondaryIndex(SecondaryIndexDump dump) {
+  const datalog::RelationId relation = Resolve(dump.relation);
+  if (relation >= lazy_indexes_.size() || members_[relation].empty()) return;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   HashIndex index;
   index.reserve(dump.entries.size());
   for (auto& [value, oids] : dump.entries) {
     index[value] = std::move(oids);
   }
-  lazy_indexes_[dump.relation][dump.pos] = std::move(index);
-  ever_built_.insert({dump.relation, dump.pos});
+  lazy_indexes_[relation][dump.pos] = std::move(index);
+  ever_built_.insert({relation, dump.pos});
   obs::Count("index.restored");
 }
 
@@ -845,11 +855,18 @@ sqo::Status ObjectStore::ApplyOne(const Mutation& m) {
             "create: row arity " + std::to_string(m.row.size()) +
             " does not match relation '" + m.relation + "'");
       }
-      if (!m.oid.valid() || objects_.count(m.oid.raw()) > 0) {
+      if (!m.oid.valid() || Find(m.oid) != nullptr) {
         return sqo::DataCorruptionError("create: invalid or duplicate OID @" +
                                         std::to_string(m.oid.raw()));
       }
-      InstallRecord(m.oid, m.relation, m.row);
+      if (m.oid.raw() >= AllocatedEnd() &&
+          m.oid.raw() - AllocatedEnd() >= kMaxOidGap) {
+        return sqo::DataCorruptionError(
+            "create: OID @" + std::to_string(m.oid.raw()) +
+            " lies too far past the allocated range (next OID " +
+            std::to_string(AllocatedEnd()) + ")");
+      }
+      InstallRecord(m.oid, sig->id, m.row);
       next_oid_ = std::max(next_oid_, m.oid.raw() + 1);
       return sqo::Status::Ok();
     }
@@ -892,13 +909,13 @@ sqo::Status ObjectStore::ApplyMutations(const std::vector<Mutation>& batch) {
 }
 
 void ObjectStore::Clear() {
-  objects_.clear();
-  extents_.clear();
+  slots_.clear();
+  object_count_ = 0;
+  for (std::vector<sqo::Oid>& extent : extents_) extent.clear();
   rels_.clear();
   // Index *definitions* survive (they are physical-design choices, like
   // methods); their contents are data and go.
-  for (auto& [relation, positions] : indexes_) {
-    (void)relation;
+  for (auto& positions : indexes_) {
     for (auto& [pos, index] : positions) {
       (void)pos;
       index.clear();
@@ -909,7 +926,7 @@ void ObjectStore::Clear() {
     // too; `ever_built_` survives so a post-Clear rebuild is counted as a
     // full rebuild rather than a first build.
     std::lock_guard<std::mutex> lock(lazy_mu_);
-    lazy_indexes_.clear();
+    for (auto& positions : lazy_indexes_) positions.clear();
   }
   asrs_.clear();
   stale_asr_count_.store(0, std::memory_order_release);
@@ -927,15 +944,22 @@ std::vector<std::string> ObjectStore::RelationNames() const {
   return names;
 }
 
-void ObjectStore::RestoreNextOid(uint64_t next_oid) {
+sqo::Status ObjectStore::RestoreNextOid(uint64_t next_oid) {
+  if (next_oid > AllocatedEnd() && next_oid - AllocatedEnd() > kMaxOidGap) {
+    return sqo::DataCorruptionError(
+        "next OID " + std::to_string(next_oid) +
+        " lies too far past the allocated range (" +
+        std::to_string(AllocatedEnd()) + ")");
+  }
   next_oid_ = std::max(next_oid_, next_oid);
+  return sqo::Status::Ok();
 }
 
 size_t ObjectStore::IndexDistinct(const std::string& relation, size_t pos) const {
-  auto it = indexes_.find(relation);
-  if (it == indexes_.end()) return 0;
-  auto pit = it->second.find(pos);
-  return pit == it->second.end() ? 0 : pit->second.size();
+  const datalog::RelationId rel = Resolve(relation);
+  if (rel >= indexes_.size()) return 0;
+  auto pit = indexes_[rel].find(pos);
+  return pit == indexes_[rel].end() ? 0 : pit->second.size();
 }
 
 }  // namespace sqo::engine

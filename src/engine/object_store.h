@@ -1,14 +1,16 @@
 #ifndef SQO_ENGINE_OBJECT_STORE_H_
 #define SQO_ENGINE_OBJECT_STORE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <map>
 #include <mutex>
-#include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -49,10 +51,17 @@ struct Mutation {
 /// Storage model:
 ///   * every object/structure instance gets a fresh OID and one full row
 ///     aligned with its exact type's relation signature (row[0] is the OID);
+///     rows live in a slot table indexed by OID, and OIDs are minted
+///     densely, so a fetch is one array index;
 ///   * class extents are maintained for the exact class and every ancestor
 ///     (the paper's "object databases that maintain the extents of
 ///     classes"), so a Faculty object is enumerable via person, employee
-///     and faculty;
+///     and faculty. Each exact type carries a precomputed bitset of the
+///     relations its instances belong to, so a membership test is one bit
+///     test;
+///   * extents, indexes and methods are tables indexed by the catalog's
+///     dense `RelationId`; the string-keyed accessors resolve the name and
+///     then index;
 ///   * relationships are stored as OID pairs with forward/backward
 ///     adjacency; declared inverses are maintained automatically and
 ///     declared cardinalities are enforced on insert;
@@ -75,16 +84,23 @@ class ObjectStore {
   /// tests reopen from disk and expect state as of the last OK batch).
   using MutationListener = std::function<sqo::Status(const std::vector<Mutation>&)>;
 
-  /// The store's full public record of one object, exposed for snapshot
-  /// serialization.
-  struct ObjectRecord {
-    std::string exact_relation;  // relation of the exact type
-    Row row;                     // full row, aligned with that relation
-  };
+  /// A zero-copy view of a stored row (or a prefix of it). Valid until
+  /// the next mutation of the store: readers that share a store hold an
+  /// epoch pin, under which the store is immutable.
+  using RowView = std::span<const sqo::Value>;
 
-  /// `schema` must outlive the store.
-  explicit ObjectStore(const translate::TranslatedSchema* schema)
-      : schema_(schema) {}
+  /// How far past the allocated OID range — max(next_oid(), one past the
+  /// highest OID the slot table holds) — an OID the store did not mint
+  /// itself may lie: a replayed create or a restored allocator. Legitimate
+  /// gaps come from deleted objects and from failed creates, which burn an
+  /// OID. A larger gap fails with kDataCorruption before the slot table
+  /// grows, so one forged OID costs at most this many slots (DESIGN.md §5,
+  /// "Dense object plane").
+  static constexpr uint64_t kMaxOidGap = uint64_t{1} << 22;
+
+  /// `schema` must outlive the store. Relations the catalog gains after
+  /// construction (ASRs) are served too; they own no objects.
+  explicit ObjectStore(const translate::TranslatedSchema* schema);
 
   ObjectStore(const ObjectStore&) = delete;
   ObjectStore& operator=(const ObjectStore&) = delete;
@@ -146,20 +162,34 @@ class ObjectStore {
   void RefreshStaleAsrs();
 
   // ---- Reads ----
+  //
+  // Each relation-keyed read takes the catalog's RelationId; the
+  // string-keyed overloads resolve the name and then index.
 
   /// OIDs of all members of a class/structure relation (subclass instances
-  /// included). Empty for unknown relations.
+  /// included), in insertion order. Empty for other or unknown relations.
+  const std::vector<sqo::Oid>& Extent(datalog::RelationId relation) const;
   const std::vector<sqo::Oid>& Extent(const std::string& relation) const;
 
   /// True if `oid` is a member of class/structure relation `relation`.
+  bool IsMember(datalog::RelationId relation, sqo::Oid oid) const {
+    const Slot* slot = Find(oid);
+    return slot != nullptr && Covers(slot->exact, relation);
+  }
   bool IsMember(const std::string& relation, sqo::Oid oid) const;
 
-  /// The row of `oid` viewed as `relation` (a prefix of its exact row).
-  /// nullopt if the object is not a member of that relation.
-  std::optional<Row> RowAs(const std::string& relation, sqo::Oid oid) const;
+  /// The row of `oid` viewed as `relation`: a zero-copy view of the prefix
+  /// of its exact row that `relation`'s signature covers. Empty when the
+  /// object is not a member of that relation (a member's view always holds
+  /// at least its OID).
+  RowView RowAs(datalog::RelationId relation, sqo::Oid oid) const {
+    const Slot* slot = Find(oid);
+    if (slot == nullptr || !Covers(slot->exact, relation)) return {};
+    return RowView(slot->row.data(), schema_->catalog.ById(relation).arity());
+  }
+  RowView RowAs(const std::string& relation, sqo::Oid oid) const;
 
-  /// Number of attributes readable when viewing `oid` as `relation`
-  /// without copying: position `pos` of the view.
+  /// Position `pos` of `oid`'s row viewed as `relation`.
   sqo::Result<sqo::Value> AttributeOf(const std::string& relation, sqo::Oid oid,
                                       size_t pos) const;
 
@@ -179,6 +209,10 @@ class ObjectStore {
   const std::vector<sqo::Oid>& ReverseNeighbors(const std::string& relation,
                                                 sqo::Oid dst) const;
 
+  /// The registered implementation of method relation `method`; nullptr
+  /// when none is registered.
+  const MethodFn* Method(datalog::RelationId method) const;
+
   /// Invokes a registered method.
   sqo::Result<sqo::Value> InvokeMethod(const std::string& method, sqo::Oid receiver,
                                        const std::vector<sqo::Value>& args) const;
@@ -186,6 +220,9 @@ class ObjectStore {
   bool HasIndex(const std::string& relation, size_t pos) const;
 
   /// Index probe; nullptr when no index or no entry.
+  const std::vector<sqo::Oid>* IndexLookup(datalog::RelationId relation,
+                                           size_t pos,
+                                           const sqo::Value& value) const;
   const std::vector<sqo::Oid>* IndexLookup(const std::string& relation, size_t pos,
                                            const sqo::Value& value) const;
 
@@ -206,6 +243,10 @@ class ObjectStore {
   /// returned pointer is valid until the next store mutation; concurrent
   /// evaluation over an immutable store — the parallel-profiling contract —
   /// never invalidates it.
+  const std::vector<sqo::Oid>* LazyIndexLookup(datalog::RelationId relation,
+                                               size_t pos, const sqo::Value& value,
+                                               size_t min_extent,
+                                               bool* built) const;
   const std::vector<sqo::Oid>* LazyIndexLookup(const std::string& relation,
                                                size_t pos, const sqo::Value& value,
                                                size_t min_extent,
@@ -222,7 +263,7 @@ class ObjectStore {
   size_t IndexDistinct(const std::string& relation, size_t pos) const;
 
   const translate::TranslatedSchema& schema() const { return *schema_; }
-  size_t object_count() const { return objects_.size(); }
+  size_t object_count() const { return object_count_; }
 
   // ---- Persistence support ----
 
@@ -252,7 +293,8 @@ class ObjectStore {
 
   /// Installs one secondary index restored from a snapshot, marking it as
   /// previously built so a later from-scratch build counts as a full
-  /// rebuild.
+  /// rebuild. A dump over a relation that is not a class or structure of
+  /// the schema is dropped.
   void RestoreSecondaryIndex(SecondaryIndexDump dump);
 
   /// Maintenance states of every ASR materialized (or restored) into this
@@ -273,7 +315,8 @@ class ObjectStore {
   /// as previously delivered to a MutationListener or reconstructed from a
   /// snapshot). Bypasses cardinality enforcement and the listener. A record
   /// inconsistent with the schema or current state (unknown relation, arity
-  /// mismatch, duplicate or missing OID, position out of range) yields
+  /// mismatch, duplicate or missing OID, a create's OID more than
+  /// kMaxOidGap past the allocated range, position out of range) yields
   /// kDataCorruption; earlier records of the batch stay applied — recovery
   /// treats any failure as a corrupt log suffix and truncates.
   sqo::Status ApplyMutations(const std::vector<Mutation>& batch);
@@ -286,9 +329,19 @@ class ObjectStore {
   /// snapshot.
   void Clear();
 
-  /// All stored objects, keyed by raw OID (deterministic iteration order
-  /// for snapshot encoding).
-  const std::map<uint64_t, ObjectRecord>& objects() const { return objects_; }
+  /// Visits every stored object in OID order as `visit(oid,
+  /// exact_relation, row)`: the name of its exact type's relation and a
+  /// view of its full row. The one way to enumerate the store (snapshot
+  /// encoding, replica bootstrap, state signatures).
+  template <typename Visit>
+  void ForEachObject(Visit&& visit) const {
+    for (uint64_t raw = 1; raw < slots_.size(); ++raw) {
+      const Slot& slot = slots_[raw];
+      if (slot.exact == datalog::kNoRelation) continue;
+      visit(sqo::Oid(raw), schema_->catalog.ById(slot.exact).name,
+            RowView(slot.row));
+    }
+  }
 
   /// Names of every relation with pair data (relationships + materialized
   /// ASRs), in map order.
@@ -298,10 +351,20 @@ class ObjectStore {
   uint64_t next_oid() const { return next_oid_; }
 
   /// Raises the OID allocator to at least `next_oid` (never lowers it):
-  /// deleted objects must not lead to OID reuse after recovery.
-  void RestoreNextOid(uint64_t next_oid);
+  /// deleted objects must not lead to OID reuse after recovery. A value
+  /// more than kMaxOidGap past the allocated range is kDataCorruption and
+  /// leaves the allocator as it was.
+  sqo::Status RestoreNextOid(uint64_t next_oid);
 
  private:
+  /// One OID's entry in the slot table. `exact` is kNoRelation when the
+  /// OID holds no object (never installed here, burned by a failed create,
+  /// or deleted).
+  struct Slot {
+    datalog::RelationId exact = datalog::kNoRelation;
+    Row row;  // full row, aligned with the exact type's relation
+  };
+
   struct RelData {
     std::vector<std::pair<sqo::Oid, sqo::Oid>> pairs;
     std::map<uint64_t, std::vector<sqo::Oid>> fwd;
@@ -317,8 +380,31 @@ class ObjectStore {
   using HashIndex =
       std::unordered_map<sqo::Value, std::vector<sqo::Oid>, sqo::ValueHash, ValueEq>;
 
-  /// Relations (exact + ancestors/struct) an instance row belongs to.
-  std::vector<std::string> MemberRelations(const std::string& exact_relation) const;
+  /// The id of relation `name`; kNoRelation when the catalog lacks it.
+  datalog::RelationId Resolve(const std::string& name) const;
+
+  /// The slot holding object `oid`; nullptr when there is none.
+  const Slot* Find(sqo::Oid oid) const {
+    return oid.raw() < slots_.size() &&
+                   slots_[oid.raw()].exact != datalog::kNoRelation
+               ? &slots_[oid.raw()]
+               : nullptr;
+  }
+  Slot* Find(sqo::Oid oid) {
+    return const_cast<Slot*>(std::as_const(*this).Find(oid));
+  }
+
+  /// True when exact type `exact` is `relation` or one of its subtypes.
+  bool Covers(datalog::RelationId exact, datalog::RelationId relation) const {
+    return relation < member_words_ * 64 &&
+           ((member_bits_[exact * member_words_ + relation / 64] >>
+             (relation % 64)) & 1) != 0;
+  }
+
+  /// One past the highest OID allocated so far: minted or installed.
+  uint64_t AllocatedEnd() const {
+    return std::max<uint64_t>(next_oid_, slots_.size());
+  }
 
   /// Inserts a pair into `rel` (no inverse handling). `record` queues a
   /// kInsertPair mutation for the listener (off on replay paths).
@@ -329,9 +415,9 @@ class ObjectStore {
   void ErasePair(const std::string& rel, sqo::Oid src, sqo::Oid dst,
                  bool record = true);
 
-  /// Installs a fully built object row: record map, extents of every member
-  /// relation, declared indexes. Shared by CreateInstance and replay.
-  void InstallRecord(sqo::Oid oid, const std::string& relation, Row row);
+  /// Installs a fully built object row: its slot, the extents of every
+  /// member relation, declared indexes. Shared by CreateInstance and replay.
+  void InstallRecord(sqo::Oid oid, datalog::RelationId exact, Row row);
 
   /// In-place attribute write with index maintenance, shared by
   /// UpdateAttribute and replay. `pos` must be a valid non-OID position of
@@ -358,16 +444,14 @@ class ObjectStore {
                                        bool is_struct);
 
   /// Incremental maintenance of the adaptive secondary indexes, scoped to
-  /// the member relations of the mutated object (indexes over unrelated
-  /// relations are untouched). Each call that changes a built index counts
-  /// one "index.delta_applies".
-  void LazyIndexInsert(const std::vector<std::string>& members, const Row& row,
-                       sqo::Oid oid);
-  void LazyIndexUpdate(const std::vector<std::string>& members, size_t pos,
+  /// the member relations of the mutated object's exact type (indexes over
+  /// unrelated relations are untouched). Each call that changes a built
+  /// index counts one "index.delta_applies".
+  void LazyIndexInsert(datalog::RelationId exact, const Row& row, sqo::Oid oid);
+  void LazyIndexUpdate(datalog::RelationId exact, size_t pos,
                        const sqo::Value& old_value, const sqo::Value& new_value,
                        sqo::Oid oid);
-  void LazyIndexErase(const std::vector<std::string>& members, const Row& row,
-                      sqo::Oid oid);
+  void LazyIndexErase(datalog::RelationId exact, const Row& row, sqo::Oid oid);
 
   /// Derives and inserts the ASR pairs a new `(src, dst)` pair of path
   /// relation `rel` gives rise to, for every fresh registered ASR whose
@@ -393,19 +477,32 @@ class ObjectStore {
   void RebuildAsrLocked(AsrState& state, int depth);
 
   const translate::TranslatedSchema* schema_;
-  std::map<uint64_t, ObjectRecord> objects_;
-  std::map<std::string, std::vector<sqo::Oid>> extents_;
+  /// Objects by OID; slot 0 stays empty (OID 0 is invalid).
+  std::vector<Slot> slots_;
+  size_t object_count_ = 0;
+  /// members_[t]: the relations an exact instance of class/structure
+  /// relation t belongs to — t itself, then its ancestors. Empty for other
+  /// kinds. member_bits_ holds the same sets as a row-major bit matrix,
+  /// member_words_ 64-bit words per row.
+  std::vector<std::vector<datalog::RelationId>> members_;
+  std::vector<uint64_t> member_bits_;
+  size_t member_words_ = 0;
+  // Tables indexed by RelationId, sized to the catalog at construction; an
+  // id past the end (a later ASR) has an empty entry in each.
+  std::vector<std::vector<sqo::Oid>> extents_;
+  std::vector<std::map<size_t, HashIndex>> indexes_;
+  std::vector<MethodFn> methods_;
   std::map<std::string, RelData> rels_;
-  std::map<std::string, std::map<size_t, HashIndex>> indexes_;
-  /// Adaptive attribute indexes (LazyIndexLookup): built on first probe,
-  /// then delta-maintained by mutations. Mutable: building happens on const
-  /// read paths; `lazy_mu_` guards the table and `ever_built_`.
+  /// Adaptive attribute indexes (LazyIndexLookup), by RelationId: built on
+  /// first probe, then delta-maintained by mutations. Mutable: building
+  /// happens on const read paths; `lazy_mu_` guards the tables and
+  /// `ever_built_`.
   mutable std::mutex lazy_mu_;
-  mutable std::map<std::string, std::map<size_t, HashIndex>> lazy_indexes_;
+  mutable std::vector<std::map<size_t, HashIndex>> lazy_indexes_;
   /// (relation, pos) pairs that were built at least once this store
   /// lifetime — a later from-scratch build is a full rebuild, not a lazy
   /// build.
-  mutable std::set<std::pair<std::string, size_t>> ever_built_;
+  mutable std::set<std::pair<datalog::RelationId, size_t>> ever_built_;
   /// Maintenance state of every materialized ASR, keyed by relation name.
   std::map<std::string, AsrState> asrs_;
   /// Number of entries of `asrs_` with `stale == true`. The read accessors
@@ -416,7 +513,6 @@ class ObjectStore {
   mutable std::atomic<size_t> stale_asr_count_{0};
   /// Recursion guard for ASRs whose paths are defined over other ASRs.
   int asr_maintenance_depth_ = 0;
-  std::map<std::string, MethodFn> methods_;
   /// relation name of a relationship -> relation name of its inverse ("")
   std::map<std::string, std::string> inverse_of_;
   uint64_t next_oid_ = 1;

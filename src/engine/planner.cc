@@ -76,9 +76,8 @@ StepEstimate EstimateLiteral(const Literal& lit, const Query& query, size_t inde
     // A pure membership guard is consumed by the scan that binds its
     // variable (see the evaluator); by itself it is nearly free.
     if (!atom.args().empty() && atom.args()[0].is_variable()) {
-      std::string guard_rel;
-      if (IsMembershipGuard(query, index, atom.args()[0].var_name(), store,
-                            &guard_rel) &&
+      if (MembershipGuard(query, index, atom.args()[0].var_name(), store) !=
+              nullptr &&
           bound.count(atom.args()[0].var_name()) > 0) {
         est.placeable = true;
         est.cost = 0.02;
@@ -138,11 +137,10 @@ StepEstimate EstimateLiteral(const Literal& lit, const Query& query, size_t inde
         if (atom.args()[0].is_variable()) {
           for (size_t j = 0; j < query.body.size(); ++j) {
             if (j == index) continue;
-            std::string guard_rel;
-            if (IsMembershipGuard(query, j, atom.args()[0].var_name(), store,
-                                  &guard_rel)) {
+            if (const RelationSignature* guard = MembershipGuard(
+                    query, j, atom.args()[0].var_name(), store)) {
               ++n_guards;
-              const double excluded = store.ExtentSize(guard_rel);
+              const double excluded = store.Extent(guard->id).size();
               guard_sel *= std::max(0.02, 1.0 - excluded / extent);
             }
           }
@@ -218,19 +216,20 @@ StepEstimate EstimateLiteral(const Literal& lit, const Query& query, size_t inde
 
 }  // namespace
 
-bool IsMembershipGuard(const Query& query, size_t j, const std::string& scan_var,
-                       const ObjectStore& store, std::string* relation) {
+const RelationSignature* MembershipGuard(const Query& query, size_t j,
+                                         const std::string& scan_var,
+                                         const ObjectStore& store) {
   const Literal& lit = query.body[j];
   if (lit.positive || !lit.atom.is_predicate() || lit.atom.args().empty()) {
-    return false;
+    return nullptr;
   }
   const RelationSignature* sig = store.schema().catalog.Find(lit.atom.predicate());
   if (sig == nullptr || (sig->kind != RelationKind::kClass &&
                          sig->kind != RelationKind::kStructure)) {
-    return false;
+    return nullptr;
   }
   const Term& oid = lit.atom.args()[0];
-  if (!oid.is_variable() || oid.var_name() != scan_var) return false;
+  if (!oid.is_variable() || oid.var_name() != scan_var) return nullptr;
   // Each attribute variable must occur once in the whole query, repeats
   // inside this atom included: `not c(oid: X, a: A, b: A)` constrains
   // a = b, so its A is no wildcard.
@@ -243,10 +242,9 @@ bool IsMembershipGuard(const Query& query, size_t j, const std::string& scan_var
   };
   for (size_t ai = 1; ai < lit.atom.arity(); ++ai) {
     const Term& t = lit.atom.args()[ai];
-    if (!t.is_variable() || occurrences(t) != 1) return false;
+    if (!t.is_variable() || occurrences(t) != 1) return nullptr;
   }
-  *relation = sig->name;
-  return true;
+  return sig;
 }
 
 std::string Plan::ToString() const {

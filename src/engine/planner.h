@@ -54,17 +54,18 @@ inline Plan PlanQuery(const datalog::Query& query, const ObjectStore& store) {
   return PlanQuery(query, store, PlannerOptions{});
 }
 
-/// True if body literal `j` is a membership guard for `scan_var`: a negated
-/// class/structure atom over that variable whose other arguments are
-/// variables occurring exactly once in the whole query (head included). A
-/// guard is a pure extent-membership test, so the scan that binds
-/// `scan_var` checks it before fetching a candidate (§5.2's extent
-/// difference) and the planner prices it as nearly free. Sets `relation` to
-/// the excluded relation on success. The planner and the evaluator share
-/// this one test.
-bool IsMembershipGuard(const datalog::Query& query, size_t j,
-                       const std::string& scan_var, const ObjectStore& store,
-                       std::string* relation);
+/// The excluded relation when body literal `j` is a membership guard for
+/// `scan_var`, else nullptr. A guard is a negated class/structure atom over
+/// that variable whose other arguments are variables occurring exactly once
+/// in the whole query (head included). It is a pure extent-membership test
+/// (one bit test in the store), so the scan that binds `scan_var` checks it
+/// before fetching a candidate (§5.2's extent difference) and the planner
+/// prices it as nearly free. The planner and the evaluator share this one
+/// test.
+const datalog::RelationSignature* MembershipGuard(const datalog::Query& query,
+                                                  size_t j,
+                                                  const std::string& scan_var,
+                                                  const ObjectStore& store);
 
 }  // namespace sqo::engine
 

@@ -45,14 +45,15 @@ sqo::Status EpochStore::BootstrapLocked(Replica* replica) {
   std::vector<engine::Mutation> batch;
   const engine::ObjectStore& src = primary_->store();
   batch.reserve(src.object_count());
-  for (const auto& [oid, record] : src.objects()) {
+  src.ForEachObject([&batch](sqo::Oid oid, const std::string& relation,
+                             engine::ObjectStore::RowView row) {
     engine::Mutation m;
     m.kind = engine::Mutation::Kind::kCreate;
-    m.oid = sqo::Oid(oid);
-    m.relation = record.exact_relation;
-    m.row = record.row;
+    m.oid = oid;
+    m.relation = relation;
+    m.row.assign(row.begin(), row.end());
     batch.push_back(std::move(m));
-  }
+  });
   for (const std::string& rel : src.RelationNames()) {
     for (const auto& [pair_src, pair_dst] : src.Pairs(rel)) {
       engine::Mutation m;
@@ -65,7 +66,7 @@ sqo::Status EpochStore::BootstrapLocked(Replica* replica) {
   }
   engine::ObjectStore& dst = replica->db->store();
   SQO_RETURN_IF_ERROR(dst.ApplyMutations(batch));
-  dst.RestoreNextOid(src.next_oid());
+  SQO_RETURN_IF_ERROR(dst.RestoreNextOid(src.next_oid()));
   // Register ASR maintenance state last, so future journal replay extends
   // materializations incrementally exactly as the primary does.
   for (engine::ObjectStore::AsrState state : src.AsrStates()) {

@@ -210,6 +210,7 @@ sqo::Status StorageManager::LoadSnapshots(const sqo::Fingerprint128& live_hash,
     store_->Clear();
     sqo::Status status = store_->ApplyMutations(contents->objects);
     if (status.ok()) status = store_->ApplyMutations(contents->pairs);
+    if (status.ok()) status = store_->RestoreNextOid(contents->next_oid);
     if (!status.ok()) {
       store_->Clear();
       if (!options_.fail_open) return status;
@@ -217,7 +218,6 @@ sqo::Status StorageManager::LoadSnapshots(const sqo::Fingerprint128& live_hash,
               /*corruption=*/true);
       continue;
     }
-    store_->RestoreNextOid(contents->next_oid);
     // Reinstall the persisted adaptive access structures before WAL
     // replay, so replayed mutations delta-maintain them instead of the
     // first post-recovery query rebuilding from scratch.

@@ -13,13 +13,14 @@ namespace {
 std::string EncodeStoreSection(const engine::ObjectStore& store) {
   BinaryWriter writer;
   writer.PutU64(store.next_oid());
-  writer.PutU64(store.objects().size());
-  for (const auto& [oid, record] : store.objects()) {
-    writer.PutU64(oid);
-    writer.PutString(record.exact_relation);
-    writer.PutU32(static_cast<uint32_t>(record.row.size()));
-    for (const sqo::Value& v : record.row) writer.PutValue(v);
-  }
+  writer.PutU64(store.object_count());
+  store.ForEachObject([&writer](sqo::Oid oid, const std::string& relation,
+                                engine::ObjectStore::RowView row) {
+    writer.PutU64(oid.raw());
+    writer.PutString(relation);
+    writer.PutU32(static_cast<uint32_t>(row.size()));
+    for (const sqo::Value& v : row) writer.PutValue(v);
+  });
   const std::vector<std::string> rels = store.RelationNames();
   writer.PutU64(rels.size());
   for (const std::string& rel : rels) {

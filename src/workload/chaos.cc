@@ -225,11 +225,12 @@ sqo::Result<int> SuperviseChild(pid_t pid, const ChaosOptions& options) {
 
 std::string ChaosStateSignature(const engine::ObjectStore& store) {
   std::string out;
-  for (const auto& [oid, record] : store.objects()) {
-    out += std::to_string(oid) + "|" + record.exact_relation;
-    for (const sqo::Value& v : record.row) out += "|" + v.ToString();
+  store.ForEachObject([&out](sqo::Oid oid, const std::string& relation,
+                            engine::ObjectStore::RowView row) {
+    out += std::to_string(oid.raw()) + "|" + relation;
+    for (const sqo::Value& v : row) out += "|" + v.ToString();
     out += "\n";
-  }
+  });
   for (const std::string& rel : store.RelationNames()) {
     std::vector<std::pair<uint64_t, uint64_t>> pairs;
     for (const auto& [src, dst] : store.Pairs(rel)) {
@@ -433,9 +434,9 @@ bool HasAnyClientPrefix(const std::string& s) {
   return i > 2 && i < s.size() && s[i] == '_';
 }
 
-bool RowHasString(const engine::ObjectStore::ObjectRecord& record,
+bool RowHasString(engine::ObjectStore::RowView row,
                   const std::function<bool(const std::string&)>& pred) {
-  for (const sqo::Value& v : record.row) {
+  for (const sqo::Value& v : row) {
     if (v.kind() == sqo::ValueKind::kString && pred(v.AsString())) return true;
   }
   return false;
@@ -446,9 +447,10 @@ bool RowHasString(const engine::ObjectStore::ObjectRecord& record,
 /// between the child's populated store and an oracle replaying on an empty
 /// one). The per-client name scheme makes this unique among one client's
 /// objects.
-std::string RowIdentity(const engine::ObjectStore::ObjectRecord& record) {
-  std::string id = record.exact_relation;
-  for (const sqo::Value& v : record.row) {
+std::string RowIdentity(const std::string& relation,
+                        engine::ObjectStore::RowView row) {
+  std::string id = relation;
+  for (const sqo::Value& v : row) {
     if (v.kind() == sqo::ValueKind::kOid) continue;
     id += "|" + v.ToString();
   }
@@ -485,15 +487,18 @@ ConcurrentAckLog ReadConcurrentAckLog(const std::string& dir, size_t clients) {
 std::optional<sqo::Oid> FindByStringValue(const engine::ObjectStore& store,
                                           const std::string& relation,
                                           const std::string& value) {
-  for (const auto& [oid, record] : store.objects()) {
-    if (record.exact_relation != relation) continue;
-    for (const sqo::Value& v : record.row) {
+  std::optional<sqo::Oid> found;
+  store.ForEachObject([&](sqo::Oid oid, const std::string& exact,
+                          engine::ObjectStore::RowView row) {
+    if (found.has_value() || exact != relation) return;
+    for (const sqo::Value& v : row) {
       if (v.kind() == sqo::ValueKind::kString && v.AsString() == value) {
-        return sqo::Oid(oid);
+        found = oid;
+        return;
       }
     }
-  }
-  return std::nullopt;
+  });
+  return found;
 }
 
 /// The failpoint site for concurrent kFailpointError: every third seed
@@ -587,16 +592,17 @@ std::string ChaosClientSignature(const engine::ObjectStore& store,
                                  const std::string& prefix) {
   std::map<uint64_t, std::string> identities;
   std::vector<std::string> lines;
-  for (const auto& [oid, record] : store.objects()) {
-    if (!RowHasString(record, [&prefix](const std::string& s) {
+  store.ForEachObject([&](sqo::Oid oid, const std::string& relation,
+                          engine::ObjectStore::RowView row) {
+    if (!RowHasString(row, [&prefix](const std::string& s) {
           return s.rfind(prefix, 0) == 0;
         })) {
-      continue;
+      return;
     }
-    std::string id = RowIdentity(record);
+    std::string id = RowIdentity(relation, row);
     lines.push_back(id);
-    identities.emplace(oid, std::move(id));
-  }
+    identities.emplace(oid.raw(), std::move(id));
+  });
   std::sort(lines.begin(), lines.end());
   std::string out;
   for (const std::string& line : lines) out += line + "\n";
@@ -618,13 +624,15 @@ std::string ChaosClientSignature(const engine::ObjectStore& store,
 std::string ChaosBaselineSignature(const engine::ObjectStore& store) {
   std::set<uint64_t> client_owned;
   std::vector<std::string> lines;
-  for (const auto& [oid, record] : store.objects()) {
-    if (RowHasString(record, HasAnyClientPrefix)) {
-      client_owned.insert(oid);
-      continue;
+  store.ForEachObject([&](sqo::Oid oid, const std::string& relation,
+                          engine::ObjectStore::RowView row) {
+    if (RowHasString(row, HasAnyClientPrefix)) {
+      client_owned.insert(oid.raw());
+      return;
     }
-    lines.push_back(std::to_string(oid) + "|" + RowIdentity(record));
-  }
+    lines.push_back(std::to_string(oid.raw()) + "|" +
+                    RowIdentity(relation, row));
+  });
   std::sort(lines.begin(), lines.end());
   std::string out;
   for (const std::string& line : lines) out += line + "\n";

@@ -58,6 +58,31 @@ TEST(CatalogTest, RejectsDuplicates) {
   EXPECT_EQ(catalog.size(), 1u);
 }
 
+TEST(CatalogTest, IdsAreDenseAppendOnlyAndSurviveCopies) {
+  RelationCatalog catalog;
+  ASSERT_TRUE(catalog.Add(Sig("zeta", RelationKind::kClass, {"oid"})).ok());
+  ASSERT_TRUE(catalog.Add(Sig("alpha", RelationKind::kClass, {"oid"})).ok());
+  EXPECT_FALSE(catalog.Add(Sig("zeta", RelationKind::kMethod, {"oid"})).ok());
+  EXPECT_EQ(catalog.Find("zeta")->id, 0u);
+  EXPECT_EQ(catalog.Find("alpha")->id, 1u);
+  // A later relation takes the next id; earlier ids do not move.
+  ASSERT_TRUE(catalog.Add(Sig("beta", RelationKind::kAsr, {"src", "dst"})).ok());
+  EXPECT_EQ(catalog.Find("beta")->id, 2u);
+  EXPECT_EQ(catalog.Find("alpha")->id, 1u);
+  for (const auto& [name, sig] : catalog.relations()) {
+    EXPECT_EQ(&catalog.ById(sig.id), &sig);
+  }
+  // A copy indexes its own signatures.
+  RelationCatalog copy = catalog;
+  RelationCatalog assigned;
+  assigned = catalog;
+  for (const RelationCatalog* c : {&copy, &assigned}) {
+    for (const auto& [name, sig] : c->relations()) {
+      EXPECT_EQ(&c->ById(sig.id), &sig);
+    }
+  }
+}
+
 TEST(CatalogTest, IterationIsSortedByName) {
   RelationCatalog catalog;
   ASSERT_TRUE(catalog.Add(Sig("zeta", RelationKind::kClass, {"oid"})).ok());

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "datalog/parser.h"
 #include "engine/database.h"
 #include "odl/parser.h"
@@ -131,6 +133,47 @@ TEST_F(EvaluatorTest, MembershipGuardSkipsFetches) {
   // With the guard, faculty members are never fetched.
   EXPECT_EQ(guarded.objects_fetched + 4u, unguarded.objects_fetched);
   EXPECT_GT(guarded.negation_checks, 0u);
+}
+
+TEST_F(EvaluatorTest, RepeatedVariableComparesWithinTheCandidate) {
+  // A variable repeated inside one atom and read nowhere else must still
+  // be bound by its first occurrence, or the repeat compares against a
+  // stale slot.
+  ObjectStore& store = db_->store();
+  std::set<uint64_t> same;
+  for (const char* text : {"x", "y"}) {
+    auto oid = store.CreateStruct(
+        "Address", {{"street", Value::String(text)}, {"city", Value::String(text)}});
+    ASSERT_TRUE(oid.ok());
+    same.insert(oid->raw());
+    ASSERT_TRUE(store
+                    .CreateObject("Person", {{"name", Value::String(text)},
+                                             {"address", Value::FromOid(*oid)}})
+                    .ok());
+  }
+  for (const auto& row : Run("q(A, S, C) :- address(oid: A, street: S, city: C).")) {
+    if (row[1] == row[2]) same.insert(row[0].AsOid().raw());
+  }
+  std::set<uint64_t> got;
+  for (const auto& row : Run("q(A) :- address(oid: A, street: S, city: S).")) {
+    got.insert(row[0].AsOid().raw());
+  }
+  EXPECT_EQ(got, same);
+
+  std::set<uint64_t> kept, expected;
+  for (const auto& row : Run(
+           "q(P) :- person(oid: P, address: A), "
+           "not address(oid: A, street: S, city: S).")) {
+    kept.insert(row[0].AsOid().raw());
+  }
+  for (const auto& row : Run("q(P, A) :- person(oid: P, address: A).")) {
+    if (row[1].kind() != sqo::ValueKind::kOid ||
+        same.count(row[1].AsOid().raw()) == 0) {
+      expected.insert(row[0].AsOid().raw());
+    }
+  }
+  EXPECT_EQ(kept, expected);
+  EXPECT_LT(kept.size(), Run("q(P) :- person(oid: P).").size());
 }
 
 TEST_F(EvaluatorTest, NegatedRelationshipAtom) {

@@ -41,12 +41,12 @@ TEST_F(ObjectStoreTest, CreateObjectAndReadBack) {
       "Person", {{"name", Value::String("ann")}, {"age", Value::Int(25)}});
   ASSERT_TRUE(oid.valid());
   auto row = store_->RowAs("person", oid);
-  ASSERT_TRUE(row.has_value());
-  ASSERT_EQ(row->size(), 4u);
-  EXPECT_EQ((*row)[0], Value::FromOid(oid));
-  EXPECT_EQ((*row)[1], Value::String("ann"));
-  EXPECT_EQ((*row)[2], Value::Int(25));
-  EXPECT_TRUE((*row)[3].is_null());  // address not set
+  ASSERT_FALSE(row.empty());
+  ASSERT_EQ(row.size(), 4u);
+  EXPECT_EQ(row[0], Value::FromOid(oid));
+  EXPECT_EQ(row[1], Value::String("ann"));
+  EXPECT_EQ(row[2], Value::Int(25));
+  EXPECT_TRUE(row[3].is_null());  // address not set
 }
 
 TEST_F(ObjectStoreTest, SubclassInstanceInAncestorExtents) {
@@ -68,12 +68,12 @@ TEST_F(ObjectStoreTest, RowAsSuperclassIsPrefix) {
                                          {"rank", Value::String("full")}});
   auto as_person = store_->RowAs("person", prof);
   auto as_faculty = store_->RowAs("faculty", prof);
-  ASSERT_TRUE(as_person.has_value());
-  ASSERT_TRUE(as_faculty.has_value());
-  EXPECT_EQ(as_person->size(), 4u);
-  EXPECT_EQ(as_faculty->size(), 6u);
-  for (size_t i = 0; i < as_person->size(); ++i) {
-    EXPECT_EQ((*as_person)[i], (*as_faculty)[i]);
+  ASSERT_FALSE(as_person.empty());
+  ASSERT_FALSE(as_faculty.empty());
+  EXPECT_EQ(as_person.size(), 4u);
+  EXPECT_EQ(as_faculty.size(), 6u);
+  for (size_t i = 0; i < as_person.size(); ++i) {
+    EXPECT_EQ(as_person[i], as_faculty[i]);
   }
 }
 
@@ -85,7 +85,7 @@ TEST_F(ObjectStoreTest, CreateStructAndLink) {
   sqo::Oid person = MustCreate(
       "Person", {{"name", Value::String("b")}, {"address", Value::FromOid(*addr)}});
   auto row = store_->RowAs("person", person);
-  EXPECT_EQ((*row)[3], Value::FromOid(*addr));
+  EXPECT_EQ(row[3], Value::FromOid(*addr));
   EXPECT_TRUE(store_->IsMember("address", *addr));
 }
 
@@ -93,7 +93,7 @@ TEST_F(ObjectStoreTest, AttributeNamesCaseInsensitive) {
   auto oid = store_->CreateObject("Person", {{"Name", Value::String("c")}});
   ASSERT_TRUE(oid.ok());
   auto row = store_->RowAs("person", *oid);
-  EXPECT_EQ((*row)[1], Value::String("c"));
+  EXPECT_EQ(row[1], Value::String("c"));
 }
 
 TEST_F(ObjectStoreTest, CreateRejectsUnknownClassOrAttribute) {
@@ -270,7 +270,7 @@ TEST_F(ObjectStoreTest, UpdateAttributeMaintainsIndexes) {
   ASSERT_NE(hits, nullptr);
   EXPECT_EQ((*hits)[0], p);
   auto row = store_->RowAs("person", p);
-  EXPECT_EQ((*row)[1], Value::String("after"));
+  EXPECT_EQ(row[1], Value::String("after"));
 }
 
 TEST_F(ObjectStoreTest, UpdateAttributeMaintainsSubclassIndexes) {
@@ -303,7 +303,7 @@ TEST_F(ObjectStoreTest, DeleteObjectScrubsEverything) {
   EXPECT_EQ(store_->IndexLookup("person", 1, Value::String("gone")), nullptr);
   EXPECT_TRUE(store_->Neighbors("is_taken_by", section).empty());
   EXPECT_EQ(store_->PairCount("takes"), 0u);
-  EXPECT_FALSE(store_->RowAs("student", student).has_value());
+  EXPECT_TRUE(store_->RowAs("student", student).empty());
   EXPECT_FALSE(store_->DeleteObject(student).ok());  // already gone
 }
 

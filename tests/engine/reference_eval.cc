@@ -136,7 +136,8 @@ class Reference {
     if (sig->kind == RelationKind::kClass ||
         sig->kind == RelationKind::kStructure) {
       for (sqo::Oid oid : store_.Extent(sig->name)) {
-        rows.push_back(*store_.RowAs(sig->name, oid));
+        const ObjectStore::RowView row = store_.RowAs(sig->name, oid);
+        rows.emplace_back(row.begin(), row.end());
       }
     } else if (sig->kind == RelationKind::kRelationship) {
       for (const auto& [src, dst] : store_.Pairs(sig->name)) {

@@ -292,7 +292,7 @@ TEST_F(RecoveryTest, VersionSkewedSnapshotDegradesWithoutAborting) {
   EXPECT_TRUE(info->degraded);
   EXPECT_TRUE(info->corruption_detected);
   EXPECT_TRUE(info->created);  // nothing usable: bootstrapped fresh
-  EXPECT_TRUE(db->store().objects().empty());
+  EXPECT_EQ(db->store().object_count(), 0u);
 }
 
 TEST_F(RecoveryTest, VersionSkewedWalHeaderDiscardsTheLog) {
@@ -343,6 +343,55 @@ TEST_F(RecoveryTest, GarbageWalIsDiscarded) {
   auto db = MakeEmptyDb();
   ASSERT_TRUE(db->Open(dir_, ReopenOptions()).ok());
   EXPECT_TRUE(db->recovery_info()->degraded);
+  EXPECT_EQ(StateSignature(db->store()), baseline_sig);
+}
+
+TEST_F(RecoveryTest, ResealedSnapshotWithAForgedOidFailsOpen) {
+  std::string baseline_sig;
+  {
+    auto db = MakePopulatedDb();
+    baseline_sig = StateSignature(db->store());
+    ASSERT_TRUE(db->Open(dir_, ReopenOptions()).ok());  // snapshot-000001
+    for (const Op& op : BuildOpScript(kScriptSeed + 7, kScriptLen)) {
+      ASSERT_TRUE(op(db.get()).ok());
+    }
+    ASSERT_TRUE(db->CloseStorage().ok());  // snapshot-000002 + fresh WAL
+  }
+  // Rewrite the first object's OID in the newest snapshot to 2^62 and
+  // re-seal the store-section and header checksums: the file stays
+  // well-formed, so only the store's OID bound stands between the forged
+  // create and a slot table sized by it.
+  const std::string newest = dir_ + "/snapshot-000002.sqo";
+  auto data = fs::ReadFile(newest);
+  ASSERT_TRUE(data.ok());
+  std::string mutated = *data;
+  auto put = [&mutated](size_t at, uint64_t value, int bytes) {
+    for (int i = 0; i < bytes; ++i) {
+      mutated[at + i] = static_cast<char>((value >> (8 * i)) & 0xFF);
+    }
+  };
+  uint64_t store_len = 0;
+  for (int i = 0; i < 8; ++i) {
+    store_len |= static_cast<uint64_t>(static_cast<uint8_t>(mutated[32 + i]))
+                 << (8 * i);
+  }
+  const uint64_t forged = uint64_t{1} << 62;
+  put(kSnapshotHeaderSize + 16, forged, 8);  // after next_oid, object count
+  put(56, MaskCrc32c(Crc32c(mutated.data() + kSnapshotHeaderSize, store_len)),
+      4);
+  put(kSnapshotHeaderSize - 4,
+      MaskCrc32c(Crc32c(mutated.data(), kSnapshotHeaderSize - 4)), 4);
+  ASSERT_TRUE(fs::WriteFileAtomic(newest, mutated).ok());
+  auto contents = ReadSnapshot(newest);
+  ASSERT_TRUE(contents.ok()) << contents.status().ToString();
+  ASSERT_EQ(contents->objects.front().oid.raw(), forged);
+
+  auto db = MakeEmptyDb();
+  ASSERT_TRUE(db->Open(dir_, ReopenOptions()).ok());
+  const storage::RecoveryInfo* info = db->recovery_info();
+  EXPECT_TRUE(info->degraded);
+  EXPECT_TRUE(info->corruption_detected);
+  EXPECT_NE(info->snapshot_path.find("snapshot-000001"), std::string::npos);
   EXPECT_EQ(StateSignature(db->store()), baseline_sig);
 }
 

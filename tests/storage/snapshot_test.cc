@@ -39,14 +39,14 @@ TEST_F(SnapshotTest, RoundTripRestoresEveryObjectAndPair) {
   EXPECT_EQ(contents->schema_hash, hash);
   EXPECT_EQ(contents->last_lsn, 17u);
   EXPECT_EQ(contents->next_oid, db->store().next_oid());
-  EXPECT_EQ(contents->objects.size(), db->store().objects().size());
+  EXPECT_EQ(contents->objects.size(), db->store().object_count());
   EXPECT_EQ(contents->catalog_json, "{\"k\":1}");
 
   // Applying the decoded mutations to an empty store reproduces the state.
   auto restored = storage_test::MakeEmptyDb();
   ASSERT_TRUE(restored->store().ApplyMutations(contents->objects).ok());
   ASSERT_TRUE(restored->store().ApplyMutations(contents->pairs).ok());
-  restored->store().RestoreNextOid(contents->next_oid);
+  ASSERT_TRUE(restored->store().RestoreNextOid(contents->next_oid).ok());
   EXPECT_EQ(storage_test::StateSignature(restored->store()),
             storage_test::StateSignature(db->store()));
 }
@@ -91,7 +91,7 @@ TEST_F(SnapshotTest, IndexSectionRoundTripsIndexesAndAsrStates) {
   auto restored = storage_test::MakeEmptyDb();
   ASSERT_TRUE(restored->store().ApplyMutations(contents->objects).ok());
   ASSERT_TRUE(restored->store().ApplyMutations(contents->pairs).ok());
-  restored->store().RestoreNextOid(contents->next_oid);
+  ASSERT_TRUE(restored->store().RestoreNextOid(contents->next_oid).ok());
   for (auto& dump : contents->indexes) {
     restored->store().RestoreSecondaryIndex(std::move(dump));
   }

@@ -92,11 +92,12 @@ inline std::unique_ptr<engine::Database> MakeEmptyDb() {
 /// only when it has pairs, which is invisible to queries.)
 inline std::string StateSignature(const engine::ObjectStore& store) {
   std::string out;
-  for (const auto& [oid, record] : store.objects()) {
-    out += std::to_string(oid) + "|" + record.exact_relation;
-    for (const sqo::Value& v : record.row) out += "|" + v.ToString();
+  store.ForEachObject([&out](sqo::Oid oid, const std::string& relation,
+                            engine::ObjectStore::RowView row) {
+    out += std::to_string(oid.raw()) + "|" + relation;
+    for (const sqo::Value& v : row) out += "|" + v.ToString();
     out += "\n";
-  }
+  });
   for (const std::string& rel : store.RelationNames()) {
     std::vector<std::pair<uint64_t, uint64_t>> pairs;
     // PairsRaw: a signature is a verbatim capture — reading it must not
