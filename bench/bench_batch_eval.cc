@@ -1,9 +1,9 @@
 // Evaluator experiments on the university workload:
 //
-//  AgeJoin      equi-join students ⋈ TAs on the shared `age` attribute
-//               with `auto_index` off — the TA step builds one hash table
-//               over its extent and every student binding probes it,
-//               instead of re-scanning the TA extent per binding.
+//  AgeJoin      equi-join students ⋈ TAs on the shared `age` attribute:
+//               the TA step probes the adaptive index on `ta.age` (built
+//               by the first probe) for every student binding, instead of
+//               re-scanning the TA extent per binding.
 //  PathJoin     the §5.4 four-hop student→TA path under default options —
 //               relationship traversals dominate, so nothing amortizes and
 //               every step streams per binding.
@@ -15,7 +15,7 @@
 //               checks its time one-sidedly and no time-derived counter
 //               can flap.
 //  MutationMix  interleaves attribute updates + relationship churn with a
-//               selection served by the lazily built persistent index.
+//               selection served by the adaptive index.
 //               Exports `full_rebuilds` and `delta_applies` (index delta
 //               applies per attribute update, ~1) measured after a warmup
 //               query has built the index: delta maintenance keeps
@@ -73,8 +73,7 @@ datalog::Query MustParse(World& world, const char* text) {
 }
 
 // Students joined to TAs on age: the second atom has a bound attribute and
-// no declared key, so with auto_index disabled the evaluator hash-builds
-// the TA extent once and probes it per student binding.
+// no declared index, so it probes the adaptive index per student binding.
 const char* kAgeJoinQuery =
     "q(X, Y) :- student(oid: X, age: A), ta(oid: Y, age: A).";
 
@@ -89,21 +88,20 @@ const char* kRangeScanQuery =
     "q(N) :- student(oid: X, name: N, age: A), A > 20, A < 24.";
 
 // Selection on an unkeyed attribute over a large extent — served by the
-// lazily built persistent secondary index once warm.
+// adaptive index once warm.
 const char* kIndexedSelection =
     "q(X) :- student(oid: X, age: A), A = 21.";
 
-/// Runs `query` repeatedly under `options`, exporting qps and per-query
-/// latency quantiles. Aborts the benchmark on evaluation error.
+/// Runs `query` repeatedly, exporting qps and per-query latency
+/// quantiles. Aborts the benchmark on evaluation error.
 void RunQueryBench(benchmark::State& state, World& world,
-                   const datalog::Query& query,
-                   const engine::EvalOptions& options) {
+                   const datalog::Query& query) {
   obs::EvalStats stats;
   std::vector<int64_t> latencies_ns;
   for (auto _ : state) {
     stats.Reset();
     const auto start = std::chrono::steady_clock::now();
-    auto rows = world.db->Run(query, &stats, options);
+    auto rows = world.db->Run(query, &stats);
     const auto stop = std::chrono::steady_clock::now();
     if (!rows.ok()) {
       state.SkipWithError(rows.status().ToString().c_str());
@@ -130,23 +128,15 @@ void RunQueryBench(benchmark::State& state, World& world,
   }
 }
 
-engine::EvalOptions AutoIndexOptions(bool auto_index) {
-  engine::EvalOptions options;
-  options.auto_index = auto_index;
-  return options;
-}
-
 void BM_BatchEval_AgeJoin_Batch(benchmark::State& state) {
   World& world = CachedWorld(0, JoinConfig());
-  RunQueryBench(state, world, MustParse(world, kAgeJoinQuery),
-                AutoIndexOptions(/*auto_index=*/false));
+  RunQueryBench(state, world, MustParse(world, kAgeJoinQuery));
 }
 BENCHMARK(BM_BatchEval_AgeJoin_Batch);
 
 void BM_BatchEval_PathJoin_Batch(benchmark::State& state) {
   World& world = CachedWorld(0, JoinConfig());
-  RunQueryBench(state, world, MustParse(world, kPathQuery),
-                AutoIndexOptions(/*auto_index=*/true));
+  RunQueryBench(state, world, MustParse(world, kPathQuery));
 }
 BENCHMARK(BM_BatchEval_PathJoin_Batch);
 
@@ -172,7 +162,7 @@ BENCHMARK(BM_BatchEval_RangeScan);
 
 /// Mutation-heavy mix: each iteration updates one student's age, toggles
 /// one `takes` pair, and runs the indexed selection. A warmup query before
-/// the timed loop builds the lazy index; the exported counters then show
+/// the timed loop builds the adaptive index; the exported counters then show
 /// whether mutations delta-apply (`delta_applies` per age update stays ~1,
 /// `full_rebuilds` stays 0) or invalidate (`full_rebuilds` grows with every
 /// iteration). Both are independent of how many iterations the host's
@@ -183,7 +173,6 @@ void BM_BatchEval_MutationMix_Batch(benchmark::State& state) {
   World& world = *private_world;
   const datalog::Query selection = MustParse(world, kIndexedSelection);
   const datalog::Query students = MustParse(world, "q(X) :- student(oid: X).");
-  const engine::EvalOptions options = AutoIndexOptions(/*auto_index=*/true);
 
   auto oid_rows = world.db->Run(students);
   if (!oid_rows.ok() || oid_rows->empty()) {
@@ -193,8 +182,8 @@ void BM_BatchEval_MutationMix_Batch(benchmark::State& state) {
   std::vector<sqo::Oid> oids;
   for (const auto& row : *oid_rows) oids.push_back(row[0].AsOid());
 
-  // Warmup: first selection lazily builds the persistent age index.
-  if (auto warm = world.db->Run(selection, nullptr, options); !warm.ok()) {
+  // Warmup: the first selection builds the adaptive age index.
+  if (auto warm = world.db->Run(selection); !warm.ok()) {
     state.SkipWithError(warm.status().ToString().c_str());
     return;
   }
@@ -221,7 +210,7 @@ void BM_BatchEval_MutationMix_Batch(benchmark::State& state) {
 
     stats.Reset();
     const auto start = std::chrono::steady_clock::now();
-    auto rows = world.db->Run(selection, &stats, options);
+    auto rows = world.db->Run(selection, &stats);
     const auto stop = std::chrono::steady_clock::now();
     if (!rows.ok()) {
       state.SkipWithError(rows.status().ToString().c_str());

@@ -10,12 +10,15 @@
 #include <benchmark/benchmark.h>
 #include "bench/bench_main.h"
 
+#include <algorithm>
 #include <chrono>
 #include <optional>
+#include <vector>
 
 #include "common/context.h"
 #include "datalog/parser.h"
 #include "engine/database.h"
+#include "engine/planner.h"
 #include "obs/export.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -290,6 +293,45 @@ datalog::Query UniversityEvalQuery() {
       "select f.name from f in Faculty where f.salary > 50000");
   return result->alternatives[result->best_index].datalog;
 }
+
+// Planning alone (engine::PlanQuery, which the cost model runs once per
+// alternative and Database::Run once more for the chosen one) on the
+// default database: Arg 0 plans §5.2's original query, Arg 1 its guarded
+// alternative (the extent-difference rewrite), Arg 2 every alternative of
+// §5.3 with the student fixed by its key. `plans` counts the plans per
+// iteration.
+void BM_PlanQuery(benchmark::State& state) {
+  engine::Database& db = UniversityDb();
+  std::vector<datalog::Query> queries;
+  if (state.range(0) < 2) {
+    auto result =
+        UniversityBenchPipeline().OptimizeText(workload::QueryScopeReduction());
+    for (const core::Alternative& alt : result->alternatives) {
+      const bool guarded = std::any_of(
+          alt.datalog.body.begin(), alt.datalog.body.end(),
+          [](const datalog::Literal& lit) { return !lit.positive; });
+      if (guarded == (state.range(0) == 1)) queries.push_back(alt.datalog);
+    }
+  } else {
+    auto result = UniversityBenchPipeline().OptimizeText(
+        workload::QueryJoinElimination() + " and s.name = \"james\"");
+    for (const core::Alternative& alt : result->alternatives) {
+      queries.push_back(alt.datalog);
+    }
+  }
+  if (queries.empty()) {
+    state.SkipWithError("no alternative of that shape");
+    return;
+  }
+  for (auto _ : state) {
+    for (const datalog::Query& query : queries) {
+      engine::Plan plan = engine::PlanQuery(query, db.store());
+      benchmark::DoNotOptimize(plan);
+    }
+  }
+  state.counters["plans"] = static_cast<double>(queries.size());
+}
+BENCHMARK(BM_PlanQuery)->Arg(0)->Arg(1)->Arg(2);
 
 // Evaluation with the operator profiler off (Arg 0) vs on (Arg 1): the
 // delta is the cost of two clock reads + row accounting per join step.

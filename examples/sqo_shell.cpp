@@ -253,7 +253,7 @@ void RunQuery(const sqo::core::Pipeline& pipeline, const sqo::engine::Database& 
   }
   if (plan_only) {
     std::printf("%s", sqo::engine::PlanQuery(best.datalog, db.store())
-                          .ToString()
+                          .ToString(best.datalog, db.schema().catalog)
                           .c_str());
     return;
   }

@@ -823,7 +823,7 @@ AnalysisReport AnalyzeProfile(const translate::TranslatedSchema& schema,
   AnalysisReport report;
   std::set<std::string> flagged;
   for (const obs::ProfileNode& node : profile.nodes) {
-    if (node.op != "extent-scan") continue;
+    if (node.op != "extent-scan" && node.op != "shared-scan") continue;
     const RelationSignature* sig = schema.catalog.Find(node.relation);
     if (sig == nullptr || sig->kind != RelationKind::kClass) continue;
     // Any key on the class (or inherited from a superclass) means an
@@ -861,7 +861,10 @@ AnalysisReport AnalyzeAsrStaleness(const obs::QueryProfile& profile,
   AnalysisReport report;
   std::set<std::pair<std::string, std::string>> flagged;  // (relation, asr)
   for (const obs::ProfileNode& node : profile.nodes) {
-    if (node.op != "extent-scan" && node.op != "pair-scan") continue;
+    if (node.op != "extent-scan" && node.op != "shared-scan" &&
+        node.op != "pair-scan") {
+      continue;
+    }
     for (const AsrFreshness& asr : asrs) {
       if (!asr.stale) continue;
       bool covers = asr.name == node.relation;

@@ -180,11 +180,11 @@ AnalysisReport AnalyzeCatalogFreshness(const std::string& disk_schema_hash,
                                        size_t live_residues);
 
 /// Pass 10 over an executed query profile (EXPLAIN ANALYZE tree): flags
-/// extent-scan operators over class relations whose ODL declaration (or a
-/// superclass's) registers a key — an index hint exists, so the scan means
-/// the query binds no key attribute, or planning missed the probe
-/// (SQO-A014, warning). Scans of keyless classes are expected and not
-/// flagged; neither are index/lazy-index probes.
+/// extent-scan and shared-scan operators over class relations whose ODL
+/// declaration (or a superclass's) registers a key — an index hint exists,
+/// so the scan means the query binds no key attribute, or planning missed
+/// the probe (SQO-A014, warning). Scans of keyless classes are expected and
+/// not flagged; neither are index probes.
 AnalysisReport AnalyzeProfile(const translate::TranslatedSchema& schema,
                               const obs::QueryProfile& profile);
 

@@ -2,7 +2,6 @@
 
 #include <array>
 #include <chrono>
-#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -116,45 +115,27 @@ std::array<sqo::Value, 2> OidPair(sqo::Oid src, sqo::Oid dst) {
   return {sqo::Value::FromOid(src), sqo::Value::FromOid(dst)};
 }
 
-/// How a positive class/structure step with an unbound OID reaches its
-/// candidates. Settled when the first binding arrives.
-enum class Access {
-  kUnresolved,
-  kIndex,       // explicit index on a bound attribute, probed per binding
-  kLazyIndex,   // the store's adaptive index, probed per binding
-  kScan,        // extent scan per binding (the plan's first relation access)
-  kHashJoin,    // bound attribute, no index: one hash table, probed
-  kSharedScan,  // no bound attribute: one scan, replayed per binding
-};
-
-/// One plan position, prepared before execution.
-struct PlanStep {
+/// One plan step, compiled against the query before execution: the
+/// planner's operator with its arguments resolved to slots.
+struct CompiledStep {
   const Literal* lit = nullptr;
+  StepKind kind = StepKind::kFilter;
   const RelationSignature* sig = nullptr;  // null for comparisons
   /// `sig->id`: every store access of the step indexes by it.
   datalog::RelationId rel = datalog::kNoRelation;
+  size_t key = 0;  // kIndexProbe: the attribute probed
   /// A method step's implementation; null when none is registered.
   const ObjectStore::MethodFn* method = nullptr;
   std::vector<ArgSlot> args;
-  /// Follows the plan's first relation access, so more than one binding
-  /// may arrive: a class step builds candidates that do not depend on the
-  /// binding once (hash join, shared extent scan) instead of scanning.
-  bool amortize = false;
-  /// A membership guard evaluated by the scan that binds its variable.
-  bool consumed = false;
-  /// (position, relation) of each guard the step's scan checks.
+  /// (position, relation) of each guard the step checks per candidate.
   std::vector<std::pair<size_t, datalog::RelationId>> guards;
-  Access access = Access::kUnresolved;
-  size_t attr = 0;  // the attribute an index probe or hash join keys on
-  // Built by the first binding of an amortized step: views of store rows,
-  // valid while the store is not mutated (the whole evaluation).
+  // Built by the first binding of a shared scan or pair scan: views of
+  // store rows, valid while the store is not mutated (the whole
+  // evaluation).
   bool built = false;
   uint64_t build_fetched = 0;  // guard-passing members fetched by the build
-  std::unordered_map<sqo::Value, std::vector<ObjectStore::RowView>,
-                     sqo::ValueHash>
-      table;                                         // hash join
   std::vector<ObjectStore::RowView> rows;            // shared extent scan
-  std::vector<std::pair<sqo::Oid, sqo::Oid>> pairs;  // shared pair scan
+  std::vector<std::pair<sqo::Oid, sqo::Oid>> pairs;  // pair scan
 };
 
 /// Depth-first execution of one planned query over a single flat binding
@@ -165,12 +146,11 @@ class Execution {
  public:
   Execution(const ObjectStore& store, const Query& query,
             const EvalOptions& options, obs::EvalStats& stats,
-            obs::QueryProfile* profile, const Plan* plan)
+            obs::QueryProfile* profile, const Plan& plan)
       : store_(store), query_(query), options_(options), stats_(stats),
-        profile_(profile), plan_(plan) {}
+        plan_(plan), profile_(profile) {}
 
-  sqo::Status Run(const std::vector<size_t>& order, Rows* out) {
-    order_ = &order;
+  sqo::Status Run(Rows* out) {
     out_ = out;
     dedup_ = Dedup(0, RowAtHash{out}, RowAtEq{out});
     if (profile_ != nullptr) SetUpProfile();
@@ -232,38 +212,27 @@ class Execution {
       bound_[slot] = true;
       row_[slot] = (l.is_variable() ? r : l).constant();
     }
-    steps_.resize(order_->size());
-    bool accessed = false;
-    for (size_t k = 0; k < order_->size(); ++k) {
-      PlanStep& s = steps_[k];
-      s.lit = &query_.body[(*order_)[k]];
-      const Atom& atom = s.lit->atom;
-      s.args = Resolve(atom);
-      s.amortize = accessed;
-      if (atom.is_comparison()) continue;
-      s.sig = store_.schema().catalog.Find(atom.predicate());
-      if (s.sig != nullptr && s.sig->arity() != atom.arity()) s.sig = nullptr;
-      if (s.sig != nullptr) {
-        s.rel = s.sig->id;
+    steps_.resize(plan_.steps.size());
+    for (size_t k = 0; k < steps_.size(); ++k) {
+      const PlanStep& planned = plan_.steps[k];
+      CompiledStep& s = steps_[k];
+      s.lit = &query_.body[planned.literal];
+      s.kind = planned.kind;
+      s.key = planned.key;
+      s.args = Resolve(s.lit->atom);
+      if (planned.relation != datalog::kNoRelation) {
+        s.rel = planned.relation;
+        s.sig = &store_.schema().catalog.ById(s.rel);
         if (s.sig->kind == RelationKind::kMethod) s.method = store_.Method(s.rel);
       }
-      if (!s.lit->positive) continue;  // negation never binds
-      if (s.sig != nullptr &&
-          (s.sig->kind == RelationKind::kClass ||
-           s.sig->kind == RelationKind::kStructure) &&
-          s.args[0].kind == ArgSlot::kNew) {
-        for (size_t j = k + 1; j < order_->size(); ++j) {
-          if (const RelationSignature* guard = MembershipGuard(
-                  query_, (*order_)[j], atom.args()[0].var_name(), store_)) {
-            s.guards.emplace_back(j, guard->id);
-            steps_[j].consumed = true;
-          }
-        }
+      for (size_t guard : planned.guards) {
+        s.guards.emplace_back(guard, plan_.steps[guard].relation);
       }
+      // Negated atoms and comparisons never bind.
+      if (!s.lit->positive || s.lit->atom.is_comparison()) continue;
       for (const ArgSlot& a : s.args) {
         if (!IsBound(a)) bound_[a.slot] = true;
       }
-      accessed = true;
     }
     head_.reserve(query_.head_args.size());
     for (size_t i = 0; i < query_.head_args.size(); ++i) {
@@ -282,8 +251,8 @@ class Execution {
     // A slot is written only when something reads it later. A consumed
     // guard reads nothing: its scan tests the candidate's OID.
     std::vector<bool> read(vars_.size(), false);
-    for (const PlanStep& s : steps_) {
-      if (s.consumed) continue;
+    for (const CompiledStep& s : steps_) {
+      if (s.kind == StepKind::kConsumedGuard) continue;
       for (const ArgSlot& a : s.args) {
         if (a.kind == ArgSlot::kBound || a.kind == ArgSlot::kRepeat) {
           read[a.slot] = true;
@@ -293,7 +262,7 @@ class Execution {
     for (const ArgSlot& a : head_) {
       if (a.kind == ArgSlot::kBound) read[a.slot] = true;
     }
-    for (PlanStep& s : steps_) {
+    for (CompiledStep& s : steps_) {
       for (ArgSlot& a : s.args) {
         if (a.kind == ArgSlot::kNew) a.copy = read[a.slot];
       }
@@ -322,7 +291,7 @@ class Execution {
     return true;
   }
 
-  /// Binds a candidate an amortized build already unified (and counted).
+  /// Binds a candidate a shared build already unified (and counted).
   template <typename Candidate>
   void Bind(const std::vector<ArgSlot>& args, const Candidate& cand) {
     for (size_t i = 0; i < args.size(); ++i) {
@@ -338,24 +307,20 @@ class Execution {
   /// node that first passed it a binding.
   void SetUpProfile() {
     profile_->nodes.clear();
-    node_of_.assign(order_->size(), -1);
-    for (size_t k = 0; k < order_->size(); ++k) {
+    node_of_.assign(plan_.steps.size(), -1);
+    for (size_t k = 0; k < plan_.steps.size(); ++k) {
       obs::ProfileNode node;
       node.id = static_cast<int>(profile_->nodes.size());
-      node.literal_index = static_cast<int>((*order_)[k]);
-      const Literal& lit = query_.body[(*order_)[k]];
+      node.literal_index = static_cast<int>(plan_.steps[k].literal);
+      const Literal& lit = query_.body[plan_.steps[k].literal];
       if (lit.atom.is_comparison()) {
         node.relation = lit.atom.ToString();
       } else {
         node.relation =
             (lit.positive ? "" : "¬") + lit.atom.predicate();
       }
-      if (plan_ != nullptr && k < plan_->steps.size()) {
-        node.detail = plan_->steps[k];
-      }
-      if (plan_ != nullptr && k < plan_->est_rows.size()) {
-        node.est_rows = plan_->est_rows[k];
-      }
+      node.detail = plan_.StepText(k, query_, store_.schema().catalog);
+      node.est_rows = plan_.steps[k].est_rows;
       node_of_[k] = node.id;
       profile_->nodes.push_back(std::move(node));
     }
@@ -402,35 +367,45 @@ class Execution {
       SQO_RETURN_IF_ERROR(governance->ChargeEvalJoins());
     }
     if (k == steps_.size()) return Emit();
-    PlanStep& s = steps_[k];
-    if (s.consumed) return Step(k + 1);
+    CompiledStep& s = steps_[k];
+    // A consumed guard ran inside the scan that bound its variable.
+    if (s.kind == StepKind::kConsumedGuard) return Step(k + 1);
     obs::ProfileNode* node = EnterNode(k);
     NodeTimer node_timer(node);
-    const Atom& atom = s.lit->atom;
-    if (atom.is_comparison()) return Filter(k, s, node);
-    if (s.sig == nullptr) {
-      return sqo::NotFoundError("unknown relation in query: " + atom.ToString());
-    }
-    if (!s.lit->positive) {
-      if (Unlabeled(node)) Label(node, "anti-join", "¬" + s.sig->name);
-      ++stats_.negation_checks;
-      SQO_ASSIGN_OR_RETURN(bool exists, Exists(s));
-      return exists ? sqo::Status::Ok() : Advance(k);
-    }
-    switch (s.sig->kind) {
-      case RelationKind::kClass:
-      case RelationKind::kStructure:
-        return ClassStep(k, s, node);
-      case RelationKind::kRelationship:
-      case RelationKind::kAsr:
+    switch (s.kind) {
+      case StepKind::kFilter:
+        return Filter(k, s, node);
+      case StepKind::kUnknownRelation:
+        return sqo::NotFoundError("unknown relation in query: " +
+                                  s.lit->atom.ToString());
+      case StepKind::kAntiJoin: {
+        ++stats_.negation_checks;
+        SQO_ASSIGN_OR_RETURN(bool exists, Exists(s));
+        if (Unlabeled(node)) Label(node, "anti-join", "¬" + s.sig->name);
+        return exists ? sqo::Status::Ok() : Advance(k);
+      }
+      case StepKind::kOidLookup:
+        return OidLookup(k, s, node);
+      case StepKind::kIndexProbe:
+        return IndexProbe(k, s, node);
+      case StepKind::kExtentScan:
+        return ExtentScan(k, s, node);
+      case StepKind::kSharedScan:
+        return SharedScan(k, s, node);
+      case StepKind::kTraverse:
+      case StepKind::kReverseTraverse:
+      case StepKind::kEdgeCheck:
+      case StepKind::kPairScan:
         return PairStep(k, s, node);
-      case RelationKind::kMethod:
+      case StepKind::kInvoke:
         return MethodStep(k, s, node);
+      case StepKind::kConsumedGuard:
+        break;
     }
     return sqo::Status::Ok();
   }
 
-  sqo::Status Filter(size_t k, const PlanStep& s, obs::ProfileNode* node) {
+  sqo::Status Filter(size_t k, const CompiledStep& s, obs::ProfileNode* node) {
     const Atom& atom = s.lit->atom;
     if (Unlabeled(node)) Label(node, "filter", atom.ToString());
     if (!IsBound(s.args[0]) || !IsBound(s.args[1])) {
@@ -457,7 +432,7 @@ class Execution {
   /// Existence check for a negated atom: bound arguments must match,
   /// unbound ones are wildcards, except that a repeated unbound variable
   /// must take the same value at each occurrence. Never binds.
-  sqo::Result<bool> Exists(const PlanStep& s) {
+  sqo::Result<bool> Exists(const CompiledStep& s) {
     const std::string& name = s.sig->name;
     const std::vector<ArgSlot>& args = s.args;
     switch (s.sig->kind) {
@@ -545,22 +520,31 @@ class Execution {
     return false;
   }
 
-  bool PassesGuards(const PlanStep& s, sqo::Oid oid) {
+  /// Checks a candidate of position `k` against the step's guards, one
+  /// membership bit test each. A guard reports under the scan that checks
+  /// it, not in the pipeline chain.
+  bool PassesGuards(size_t k, const CompiledStep& s, sqo::Oid oid) {
     for (const auto& [pos, rel] : s.guards) {
       ++stats_.negation_checks;
-      obs::ProfileNode* guard_node = NodeFor(pos);
-      if (guard_node != nullptr) ++guard_node->rows_in;
-      if (store_.IsMember(rel, oid)) return false;
-      if (guard_node != nullptr) ++guard_node->rows_out;
+      const bool excluded = store_.IsMember(rel, oid);
+      if (obs::ProfileNode* guard_node = NodeFor(pos)) {
+        if (Unlabeled(guard_node)) {
+          guard_node->op = "guard";
+          guard_node->parent = node_of_[k];
+        }
+        ++guard_node->rows_in;
+        if (!excluded) ++guard_node->rows_out;
+      }
+      if (excluded) return false;
     }
     return true;
   }
 
   /// Joins every candidate OID that passes the step's guards and unifies.
-  sqo::Status Probe(size_t k, const PlanStep& s,
+  sqo::Status Probe(size_t k, const CompiledStep& s,
                     const std::vector<sqo::Oid>& oids) {
     for (sqo::Oid candidate : oids) {
-      if (!PassesGuards(s, candidate)) continue;
+      if (!PassesGuards(k, s, candidate)) continue;
       const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
       ++stats_.objects_fetched;
       if (Unify(s.args, row)) SQO_RETURN_IF_ERROR(Advance(k));
@@ -568,131 +552,66 @@ class Execution {
     return sqo::Status::Ok();
   }
 
-  /// Picks a class step's access path on its first binding: an explicit
-  /// index on the first bound indexed attribute, else the adaptive index
-  /// (when the store serves one), else a hash join on the first bound
-  /// attribute, else a scan. Steps at or before the plan's first relation
-  /// access see at most one binding, so they scan instead of building.
-  void ResolveAccess(PlanStep& s, obs::ProfileNode* node) {
-    // Guards report under the scan that consumes them, not in the
-    // pipeline chain.
-    for (const auto& [pos, rel] : s.guards) {
-      if (obs::ProfileNode* guard_node = NodeFor(pos); Unlabeled(guard_node)) {
-        guard_node->op = "guard";
-        guard_node->parent = node != nullptr ? node->id : -1;
-      }
-    }
-    const RelationSignature& sig = *s.sig;
-    auto settle = [&](Access access, size_t attr, const char* op,
-                      bool index_used) {
-      s.access = access;
-      s.attr = attr;
-      if (Unlabeled(node)) {
-        Label(node, op, sig.name + "." + sig.attributes[attr], index_used);
-      }
-    };
-    for (size_t i = 1; i < s.args.size(); ++i) {
-      if (IsBound(s.args[i]) && store_.HasIndex(sig.name, i)) {
-        return settle(Access::kIndex, i, "index-probe", true);
-      }
-    }
-    // Adaptive index: an equality-bound attribute with no explicit index
-    // probes the store's persistent secondary index (built on first use,
-    // delta-maintained on writes) unless the extent is under threshold.
-    for (size_t i = 1; options_.auto_index && i < s.args.size(); ++i) {
-      if (!IsBound(s.args[i])) continue;
-      bool indexed = false;
-      store_.LazyIndexLookup(s.rel, i, ValueOf(s.args[i]),
-                             options_.auto_index_min_extent, &indexed);
-      if (indexed) return settle(Access::kLazyIndex, i, "lazy-index-probe", true);
-    }
-    for (size_t i = 1; s.amortize && i < s.args.size(); ++i) {
-      if (IsBound(s.args[i])) {
-        return settle(Access::kHashJoin, i, "hash-join", false);
-      }
-    }
-    bool keyed = false;
-    for (size_t i = 1; i < s.args.size(); ++i) keyed |= IsBound(s.args[i]);
-    s.access = s.amortize && !keyed ? Access::kSharedScan : Access::kScan;
-    if (Unlabeled(node)) Label(node, "extent-scan", sig.name);
+  // Positive class/structure atoms. `objects_fetched` stays the logical
+  // per-binding count on every path (a shared scan charges its build's
+  // fetches to each binding that replays it), so SQO before/after
+  // comparisons do not depend on the access path; `extent_scans` counts
+  // physical scans and so records the sharing. Every operator labels its
+  // profile node right after its store access, so the label names the
+  // access that ran.
+
+  sqo::Status OidLookup(size_t k, const CompiledStep& s, obs::ProfileNode* node) {
+    const sqo::Value& oid = ValueOf(s.args[0]);
+    if (oid.kind() != sqo::ValueKind::kOid) return sqo::Status::Ok();
+    const ObjectStore::RowView row = store_.RowAs(s.rel, oid.AsOid());
+    if (Unlabeled(node)) Label(node, "oid-lookup", s.sig->name);
+    if (row.empty()) return sqo::Status::Ok();
+    ++stats_.objects_fetched;
+    return Unify(s.args, row) ? Advance(k) : sqo::Status::Ok();
   }
 
-  /// Positive class/structure atom. `objects_fetched` stays the logical
-  /// per-binding count on every path (an amortized build charges its
-  /// fetches to each binding that uses it), so SQO before/after
-  /// comparisons do not depend on the access path; `extent_scans` counts
-  /// physical scans and so records the amortization.
-  sqo::Status ClassStep(size_t k, PlanStep& s, obs::ProfileNode* node) {
-    if (IsBound(s.args[0])) {
-      if (Unlabeled(node)) Label(node, "oid-lookup", s.sig->name);
-      const sqo::Value& oid = ValueOf(s.args[0]);
-      if (oid.kind() != sqo::ValueKind::kOid) return sqo::Status::Ok();
-      const ObjectStore::RowView row = store_.RowAs(s.rel, oid.AsOid());
-      if (row.empty()) return sqo::Status::Ok();
-      ++stats_.objects_fetched;
-      return Unify(s.args, row) ? Advance(k) : sqo::Status::Ok();
+  sqo::Status IndexProbe(size_t k, const CompiledStep& s,
+                         obs::ProfileNode* node) {
+    ++stats_.index_probes;
+    obs::Count("index.probes");
+    const std::vector<sqo::Oid>* oids =
+        store_.IndexLookup(s.rel, s.key, ValueOf(s.args[s.key]));
+    if (Unlabeled(node)) {
+      Label(node, "index-probe", s.sig->name + "." + s.sig->attributes[s.key],
+            /*index_used=*/true);
     }
-    if (s.access == Access::kUnresolved) ResolveAccess(s, node);
-    switch (s.access) {
-      case Access::kUnresolved:
-        break;
-      case Access::kIndex:
-      case Access::kLazyIndex: {
-        ++stats_.index_probes;
-        obs::Count("index.probes");
-        const sqo::Value& key = ValueOf(s.args[s.attr]);
-        bool indexed = false;
-        const std::vector<sqo::Oid>* oids =
-            s.access == Access::kIndex
-                ? store_.IndexLookup(s.rel, s.attr, key)
-                : store_.LazyIndexLookup(s.rel, s.attr, key,
-                                         options_.auto_index_min_extent,
-                                         &indexed);
-        return oids != nullptr ? Probe(k, s, *oids) : sqo::Status::Ok();
+    return oids != nullptr ? Probe(k, s, *oids) : sqo::Status::Ok();
+  }
+
+  sqo::Status ExtentScan(size_t k, const CompiledStep& s,
+                         obs::ProfileNode* node) {
+    SQO_FAILPOINT("eval.scan");
+    ++stats_.extent_scans;
+    const std::vector<sqo::Oid>& extent = store_.Extent(s.rel);
+    if (Unlabeled(node)) Label(node, "extent-scan", s.sig->name);
+    return Probe(k, s, extent);
+  }
+
+  /// An unbound class atom after the plan's first access: its candidates
+  /// do not depend on the binding, so the first binding scans once and
+  /// every binding replays the members that unified.
+  sqo::Status SharedScan(size_t k, CompiledStep& s, obs::ProfileNode* node) {
+    if (!s.built) {
+      SQO_FAILPOINT("eval.scan");
+      ++stats_.extent_scans;
+      for (sqo::Oid candidate : store_.Extent(s.rel)) {
+        if (!PassesGuards(k, s, candidate)) continue;
+        const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
+        ++s.build_fetched;
+        if (Unify(s.args, row)) s.rows.push_back(row);
       }
-      case Access::kScan:
-        SQO_FAILPOINT("eval.scan");
-        ++stats_.extent_scans;
-        return Probe(k, s, store_.Extent(s.rel));
-      case Access::kHashJoin: {
-        if (!s.built) {
-          SQO_FAILPOINT("eval.scan");
-          ++stats_.extent_scans;
-          for (sqo::Oid candidate : store_.Extent(s.rel)) {
-            if (!PassesGuards(s, candidate)) continue;
-            const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
-            ++s.build_fetched;
-            s.table[row[s.attr]].push_back(row);
-          }
-          s.built = true;
-        }
-        stats_.objects_fetched += s.build_fetched;
-        auto it = s.table.find(ValueOf(s.args[s.attr]));
-        if (it == s.table.end()) return sqo::Status::Ok();
-        for (const ObjectStore::RowView& cand : it->second) {
-          if (Unify(s.args, cand)) SQO_RETURN_IF_ERROR(Advance(k));
-        }
-        return sqo::Status::Ok();
-      }
-      case Access::kSharedScan: {
-        if (!s.built) {
-          SQO_FAILPOINT("eval.scan");
-          ++stats_.extent_scans;
-          for (sqo::Oid candidate : store_.Extent(s.rel)) {
-            if (!PassesGuards(s, candidate)) continue;
-            const ObjectStore::RowView row = store_.RowAs(s.rel, candidate);
-            ++s.build_fetched;
-            if (Unify(s.args, row)) s.rows.push_back(row);
-          }
-          s.built = true;
-        }
-        stats_.objects_fetched += s.build_fetched;
-        for (const ObjectStore::RowView& cand : s.rows) {
-          Bind(s.args, cand);
-          SQO_RETURN_IF_ERROR(Advance(k));
-        }
-        return sqo::Status::Ok();
-      }
+      s.built = true;
+    }
+    if (Unlabeled(node)) Label(node, "shared-scan", s.sig->name);
+    stats_.objects_fetched += s.build_fetched;
+    for (const ObjectStore::RowView& cand : s.rows) {
+      Bind(s.args, cand);
+      SQO_RETURN_IF_ERROR(Advance(k));
     }
     return sqo::Status::Ok();
   }
@@ -700,40 +619,50 @@ class Execution {
   /// Relationship/ASR atom. A pair scan (neither end bound) keeps the
   /// pairs that unify when its first binding arrives — a copy of at most
   /// the pair list, cheap enough that even the first relation access
-  /// builds it — and charges the whole pair set to every binding, like an
-  /// extent scan's fetches.
-  sqo::Status PairStep(size_t k, PlanStep& s, obs::ProfileNode* node) {
+  /// builds it — and charges the whole pair set to every binding, like a
+  /// shared scan's fetches.
+  sqo::Status PairStep(size_t k, CompiledStep& s, obs::ProfileNode* node) {
     const std::string& name = s.sig->name;
-    const bool src_bound = IsBound(s.args[0]);
-    const bool dst_bound = IsBound(s.args[1]);
+    const bool src_bound =
+        s.kind == StepKind::kTraverse || s.kind == StepKind::kEdgeCheck;
+    const bool dst_bound =
+        s.kind == StepKind::kReverseTraverse || s.kind == StepKind::kEdgeCheck;
     if (src_bound && ValueOf(s.args[0]).kind() != sqo::ValueKind::kOid) {
       return sqo::Status::Ok();
     }
     if (dst_bound && ValueOf(s.args[1]).kind() != sqo::ValueKind::kOid) {
       return sqo::Status::Ok();
     }
-    if (src_bound) {
-      if (Unlabeled(node)) Label(node, "traverse", name);
-      const sqo::Oid src = ValueOf(s.args[0]).AsOid();
-      const auto& nbrs = store_.Neighbors(name, src);
-      stats_.relationship_traversals += nbrs.size();
-      for (sqo::Oid n : nbrs) {
-        if (Unify(s.args, OidPair(src, n))) SQO_RETURN_IF_ERROR(Advance(k));
+    switch (s.kind) {
+      case StepKind::kTraverse:
+      case StepKind::kEdgeCheck: {
+        const sqo::Oid src = ValueOf(s.args[0]).AsOid();
+        const auto& nbrs = store_.Neighbors(name, src);
+        if (Unlabeled(node)) {
+          Label(node, s.kind == StepKind::kTraverse ? "traverse" : "edge-check",
+                name);
+        }
+        stats_.relationship_traversals += nbrs.size();
+        for (sqo::Oid n : nbrs) {
+          if (Unify(s.args, OidPair(src, n))) SQO_RETURN_IF_ERROR(Advance(k));
+        }
+        return sqo::Status::Ok();
       }
-      return sqo::Status::Ok();
-    }
-    if (dst_bound) {
-      if (Unlabeled(node)) Label(node, "reverse-traverse", name);
-      const sqo::Oid dst = ValueOf(s.args[1]).AsOid();
-      const auto& nbrs = store_.ReverseNeighbors(name, dst);
-      stats_.relationship_traversals += nbrs.size();
-      for (sqo::Oid n : nbrs) {
-        if (Unify(s.args, OidPair(n, dst))) SQO_RETURN_IF_ERROR(Advance(k));
+      case StepKind::kReverseTraverse: {
+        const sqo::Oid dst = ValueOf(s.args[1]).AsOid();
+        const auto& nbrs = store_.ReverseNeighbors(name, dst);
+        if (Unlabeled(node)) Label(node, "reverse-traverse", name);
+        stats_.relationship_traversals += nbrs.size();
+        for (sqo::Oid n : nbrs) {
+          if (Unify(s.args, OidPair(n, dst))) SQO_RETURN_IF_ERROR(Advance(k));
+        }
+        return sqo::Status::Ok();
       }
-      return sqo::Status::Ok();
+      default:
+        break;
     }
-    if (Unlabeled(node)) Label(node, "pair-scan", name);
     const auto& pairs = store_.Pairs(name);
+    if (Unlabeled(node)) Label(node, "pair-scan", name);
     stats_.relationship_traversals += pairs.size();
     if (!s.built) {
       for (const auto& pair : pairs) {
@@ -752,7 +681,7 @@ class Execution {
 
   /// Collects a method atom's argument values (between receiver and
   /// result); false when one is unbound.
-  bool MethodInputs(const PlanStep& s, std::vector<sqo::Value>* inputs) const {
+  bool MethodInputs(const CompiledStep& s, std::vector<sqo::Value>* inputs) const {
     for (size_t i = 1; i + 1 < s.args.size(); ++i) {
       if (!IsBound(s.args[i])) return false;
       inputs->push_back(ValueOf(s.args[i]));
@@ -761,7 +690,7 @@ class Execution {
   }
 
   /// Calls the method the step resolved in Prepare.
-  sqo::Result<sqo::Value> Invoke(const PlanStep& s, sqo::Oid receiver,
+  sqo::Result<sqo::Value> Invoke(const CompiledStep& s, sqo::Oid receiver,
                                  const std::vector<sqo::Value>& inputs) const {
     if (s.method == nullptr) {
       return sqo::NotFoundError("method '" + s.sig->name +
@@ -770,9 +699,8 @@ class Execution {
     return (*s.method)(store_, receiver, inputs);
   }
 
-  sqo::Status MethodStep(size_t k, const PlanStep& s, obs::ProfileNode* node) {
+  sqo::Status MethodStep(size_t k, const CompiledStep& s, obs::ProfileNode* node) {
     const Atom& atom = s.lit->atom;
-    if (Unlabeled(node)) Label(node, "invoke", s.sig->name);
     if (!IsBound(s.args[0])) {
       return sqo::InvalidArgumentError("method atom with unbound receiver: " +
                                        atom.ToString());
@@ -786,6 +714,7 @@ class Execution {
     }
     ++stats_.method_invocations;
     SQO_ASSIGN_OR_RETURN(sqo::Value result, Invoke(s, receiver.AsOid(), inputs));
+    if (Unlabeled(node)) Label(node, "invoke", s.sig->name);
     const ArgSlot& out = s.args.back();
     if (IsBound(out)) {
       ++stats_.comparisons;
@@ -831,7 +760,6 @@ class Execution {
   const Query& query_;
   const EvalOptions& options_;
   obs::EvalStats& stats_;
-  const std::vector<size_t>* order_ = nullptr;
   Rows* out_ = nullptr;
   /// DISTINCT: positions in `out_` of the rows kept so far.
   using Dedup = std::unordered_set<size_t, RowAtHash, RowAtEq>;
@@ -842,13 +770,14 @@ class Execution {
   std::vector<Symbol> vars_;
   std::vector<sqo::Value> row_;
   std::vector<bool> bound_;
-  std::vector<PlanStep> steps_;
+  std::vector<CompiledStep> steps_;
   std::vector<ArgSlot> head_;
   int unbound_head_ = -1;  // first head argument no step binds, if any
 
+  const Plan& plan_;
+
   // EXPLAIN ANALYZE state (all inert when profile_ is null).
   obs::QueryProfile* profile_;
-  const Plan* plan_;
   std::vector<int> node_of_;  // plan position -> profile node index
   int emit_node_ = -1;
   int last_caller_ = -1;  // node that last passed a binding downstream
@@ -867,19 +796,22 @@ sqo::Result<std::vector<std::vector<sqo::Value>>> Evaluator::Evaluate(
   // Work into a local so only *this* evaluation's counters reach the
   // metrics registry even when the caller accumulates into `stats`.
   obs::EvalStats local;
-  Plan plan;
-  const Plan* plan_ptr = nullptr;
-  std::vector<size_t> plan_order;
   if (order != nullptr) {
-    plan_order = *order;
-  } else {
-    plan = PlanQuery(query, *store_);
-    plan_order = plan.order;
-    plan_ptr = &plan;
+    std::vector<bool> seen(query.body.size(), false);
+    bool permutation = order->size() == query.body.size();
+    for (size_t i = 0; permutation && i < order->size(); ++i) {
+      permutation = (*order)[i] < seen.size() && !seen[(*order)[i]];
+      if (permutation) seen[(*order)[i]] = true;
+    }
+    if (!permutation) {
+      return sqo::InvalidArgumentError(
+          "evaluation order is not a permutation of the body");
+    }
   }
-  if (plan_order.size() != query.body.size()) {
-    return sqo::InvalidArgumentError("evaluation order size mismatch");
-  }
+  // A caller's order is planned in that order, by the same operator
+  // choice: the executor runs whatever the plan names.
+  const Plan plan = order != nullptr ? PlanInOrder(query, *store_, *order)
+                                     : PlanQuery(query, *store_);
   // Finalizes the profile on every exit path so error returns still carry
   // whatever the execution recorded.
   auto finalize_profile = [&]() {
@@ -887,18 +819,16 @@ sqo::Result<std::vector<std::vector<sqo::Value>>> Evaluator::Evaluate(
     profile->total_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                             std::chrono::steady_clock::now() - profile_start)
                             .count();
-    if (plan_ptr != nullptr) {
-      profile->planned_cost = plan_ptr->cost;
-      profile->planned_rows = plan_ptr->cardinality;
-    }
+    profile->planned_cost = plan.cost;
+    profile->planned_rows = plan.cardinality;
     profile->stats = local;
     profile->FinalizeSelfTimes();
   };
   std::vector<std::vector<sqo::Value>> out;
   {
     obs::Span exec_span("eval.execute");
-    Execution exec(*store_, query, options_, local, profile, plan_ptr);
-    sqo::Status status = exec.Run(plan_order, &out);
+    Execution exec(*store_, query, options_, local, profile, plan);
+    sqo::Status status = exec.Run(&out);
     exec_span.Tag("rows", static_cast<uint64_t>(out.size()));
     if (!status.ok()) {
       if (stats != nullptr) *stats += local;

@@ -27,9 +27,7 @@ ObjectStore::ObjectStore(const translate::TranslatedSchema* schema)
   const size_t n = catalog.size();
   members_.resize(n);
   extents_.resize(n);
-  indexes_.resize(n);
   methods_.resize(n);
-  lazy_indexes_.resize(n);
   for (const auto& [name, sig] : catalog.relations()) {
     std::vector<datalog::RelationId>& members = members_[sig.id];
     if (sig.kind == RelationKind::kStructure) {
@@ -52,6 +50,24 @@ ObjectStore::ObjectStore(const translate::TranslatedSchema* schema)
       member_bits_[exact * member_words_ + rel / 64] |= uint64_t{1} << (rel % 64);
     }
   }
+  index_base_.assign(n + 1, 0);
+  for (datalog::RelationId rel = 0; rel < n; ++rel) {
+    const size_t positions = members_[rel].empty() ? 0 : catalog.ById(rel).arity();
+    index_base_[rel + 1] = index_base_[rel] + positions;
+  }
+  indexes_ = std::vector<IndexSlot>(index_base_[n]);
+}
+
+template <typename Fn>
+void ObjectStore::ForEachBuiltIndex(datalog::RelationId exact, Fn&& fn) {
+  for (datalog::RelationId member : members_[exact]) {
+    for (size_t slot = index_base_[member] + 1; slot < index_base_[member + 1];
+         ++slot) {
+      if (indexes_[slot].built.load(std::memory_order_relaxed)) {
+        fn(indexes_[slot], slot - index_base_[member]);
+      }
+    }
+  }
 }
 
 datalog::RelationId ObjectStore::Resolve(const std::string& name) const {
@@ -69,12 +85,11 @@ void ObjectStore::InstallRecord(sqo::Oid oid, datalog::RelationId exact,
   const Row& stored = slot.row;
   for (datalog::RelationId member : members_[exact]) {
     extents_[member].push_back(oid);
-    // Maintain any indexes on the member relation.
-    for (auto& [pos, index] : indexes_[member]) {
-      if (pos < stored.size()) index[stored[pos]].push_back(oid);
-    }
   }
-  LazyIndexInsert(exact, stored, oid);
+  ForEachBuiltIndex(exact, [&](IndexSlot& index, size_t pos) {
+    index.table[stored[pos]].push_back(oid);
+    if (!index.declared) obs::Count("index.delta_applies");
+  });
 }
 
 sqo::Result<sqo::Oid> ObjectStore::CreateInstance(
@@ -258,19 +273,23 @@ sqo::Status ObjectStore::UpdateRowPosition(sqo::Oid oid, size_t pos,
   const sqo::Value old_value = slot->row[pos];
   slot->row[pos] = std::move(value);
   const sqo::Value& new_value = slot->row[pos];
-  // Maintain indexes on every member relation covering this position.
+  // An equal value stays in its bucket, at its place in it.
+  if (new_value.Equals(old_value)) return sqo::Status::Ok();
+  // Maintain the index of every member relation covering this position.
   for (datalog::RelationId member : members_[slot->exact]) {
-    auto pit = indexes_[member].find(pos);
-    if (pit == indexes_[member].end()) continue;
-    auto old_bucket = pit->second.find(old_value);
-    if (old_bucket != pit->second.end()) {
+    IndexSlot* index = IndexSlotOf(member, pos);
+    if (index == nullptr || !index->built.load(std::memory_order_relaxed)) {
+      continue;
+    }
+    auto old_bucket = index->table.find(old_value);
+    if (old_bucket != index->table.end()) {
       auto& oids = old_bucket->second;
       oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
-      if (oids.empty()) pit->second.erase(old_bucket);
+      if (oids.empty()) index->table.erase(old_bucket);
     }
-    pit->second[new_value].push_back(oid);
+    index->table[new_value].push_back(oid);
+    if (!index->declared) obs::Count("index.delta_applies");
   }
-  LazyIndexUpdate(slot->exact, pos, old_value, new_value, oid);
   return sqo::Status::Ok();
 }
 
@@ -326,16 +345,15 @@ sqo::Status ObjectStore::DeleteObjectImpl(sqo::Oid oid, bool record_mutations) {
   for (datalog::RelationId member : members_[exact]) {
     auto& extent = extents_[member];
     extent.erase(std::remove(extent.begin(), extent.end(), oid), extent.end());
-    for (auto& [pos, index] : indexes_[member]) {
-      if (pos >= row.size()) continue;
-      auto bucket = index.find(row[pos]);
-      if (bucket == index.end()) continue;
-      auto& oids = bucket->second;
-      oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
-      if (oids.empty()) index.erase(bucket);
-    }
   }
-  LazyIndexErase(exact, row, oid);
+  ForEachBuiltIndex(exact, [&](IndexSlot& index, size_t pos) {
+    auto bucket = index.table.find(row[pos]);
+    if (bucket == index.table.end()) return;
+    auto& oids = bucket->second;
+    oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
+    if (oids.empty()) index.table.erase(bucket);
+    if (!index.declared) obs::Count("index.delta_applies");
+  });
 
   if (record_mutations) {
     Mutation m;
@@ -382,7 +400,10 @@ sqo::Status ObjectStore::CreateIndex(const std::string& relation,
   for (sqo::Oid oid : Extent(sig->id)) {
     index[slots_[oid.raw()].row[*pos]].push_back(oid);
   }
-  indexes_[sig->id][*pos] = std::move(index);
+  IndexSlot* slot = IndexSlotOf(sig->id, *pos);
+  slot->table = std::move(index);
+  slot->declared = true;
+  slot->built.store(true, std::memory_order_release);
   return sqo::Status::Ok();
 }
 
@@ -539,7 +560,7 @@ void ObjectStore::RebuildAsrLocked(AsrState& state, int depth) {
 }
 
 void ObjectStore::LazyRebuildIfStale(const std::string& relation) const {
-  // Derived-state rebuild on a const read path, like LazyIndexLookup.
+  // Derived-state rebuild on a const read path, like an adaptive index.
   ObjectStore* self = const_cast<ObjectStore*>(this);
   std::lock_guard<std::mutex> lock(lazy_mu_);
   auto it = self->asrs_.find(relation);
@@ -639,18 +660,46 @@ sqo::Result<sqo::Value> ObjectStore::InvokeMethod(
   return (*fn)(*this, receiver, args);
 }
 
+bool ObjectStore::HasIndex(datalog::RelationId relation, size_t pos) const {
+  const IndexSlot* slot = IndexSlotOf(relation, pos);
+  return slot != nullptr && slot->declared;
+}
+
 bool ObjectStore::HasIndex(const std::string& relation, size_t pos) const {
-  const datalog::RelationId rel = Resolve(relation);
-  return rel < indexes_.size() && indexes_[rel].count(pos) > 0;
+  return HasIndex(Resolve(relation), pos);
+}
+
+const ObjectStore::HashIndex* ObjectStore::BuiltIndex(
+    datalog::RelationId relation, size_t pos) const {
+  IndexSlot* slot = IndexSlotOf(relation, pos);
+  if (slot == nullptr) return nullptr;
+  if (!slot->built.load(std::memory_order_acquire)) {
+    std::lock_guard<std::mutex> lock(lazy_mu_);
+    if (!slot->built.load(std::memory_order_relaxed)) {
+      const std::vector<sqo::Oid>& extent = Extent(relation);
+      HashIndex fresh;
+      fresh.reserve(extent.size());
+      for (sqo::Oid oid : extent) {
+        fresh[slots_[oid.raw()].row[pos]].push_back(oid);
+      }
+      slot->table = std::move(fresh);
+      // A slot that was built before only reaches this path after Clear()
+      // wiped it: that is a full rebuild, the event the in-place
+      // maintenance exists to avoid.
+      obs::Count(slot->ever_built ? "index.full_rebuilds" : "index.lazy_builds");
+      slot->ever_built = true;
+      slot->built.store(true, std::memory_order_release);
+    }
+  }
+  return &slot->table;
 }
 
 const std::vector<sqo::Oid>* ObjectStore::IndexLookup(
     datalog::RelationId relation, size_t pos, const sqo::Value& value) const {
-  if (relation >= indexes_.size()) return nullptr;
-  auto pit = indexes_[relation].find(pos);
-  if (pit == indexes_[relation].end()) return nullptr;
-  auto vit = pit->second.find(value);
-  return vit == pit->second.end() ? nullptr : &vit->second;
+  const HashIndex* index = BuiltIndex(relation, pos);
+  if (index == nullptr) return nullptr;
+  auto it = index->find(value);
+  return it == index->end() ? nullptr : &it->second;
 }
 
 const std::vector<sqo::Oid>* ObjectStore::IndexLookup(
@@ -658,104 +707,23 @@ const std::vector<sqo::Oid>* ObjectStore::IndexLookup(
   return IndexLookup(Resolve(relation), pos, value);
 }
 
-void ObjectStore::LazyIndexInsert(datalog::RelationId exact, const Row& row,
-                                  sqo::Oid oid) {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  for (datalog::RelationId member : members_[exact]) {
-    for (auto& [pos, index] : lazy_indexes_[member]) {
-      if (pos >= row.size()) continue;
-      index[row[pos]].push_back(oid);
-      obs::Count("index.delta_applies");
-    }
-  }
-}
-
-void ObjectStore::LazyIndexUpdate(datalog::RelationId exact, size_t pos,
-                                  const sqo::Value& old_value,
-                                  const sqo::Value& new_value, sqo::Oid oid) {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  for (datalog::RelationId member : members_[exact]) {
-    auto pos_it = lazy_indexes_[member].find(pos);
-    if (pos_it == lazy_indexes_[member].end()) continue;
-    HashIndex& index = pos_it->second;
-    auto old_bucket = index.find(old_value);
-    if (old_bucket != index.end()) {
-      auto& oids = old_bucket->second;
-      oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
-      if (oids.empty()) index.erase(old_bucket);
-    }
-    index[new_value].push_back(oid);
-    obs::Count("index.delta_applies");
-  }
-}
-
-void ObjectStore::LazyIndexErase(datalog::RelationId exact, const Row& row,
-                                 sqo::Oid oid) {
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  for (datalog::RelationId member : members_[exact]) {
-    for (auto& [pos, index] : lazy_indexes_[member]) {
-      if (pos >= row.size()) continue;
-      auto bucket = index.find(row[pos]);
-      if (bucket == index.end()) continue;
-      auto& oids = bucket->second;
-      oids.erase(std::remove(oids.begin(), oids.end(), oid), oids.end());
-      if (oids.empty()) index.erase(bucket);
-      obs::Count("index.delta_applies");
-    }
-  }
-}
-
-const std::vector<sqo::Oid>* ObjectStore::LazyIndexLookup(
-    datalog::RelationId relation, size_t pos, const sqo::Value& value,
-    size_t min_extent, bool* built) const {
-  if (built != nullptr) *built = false;
-  if (relation >= lazy_indexes_.size()) return nullptr;
-  std::lock_guard<std::mutex> lock(lazy_mu_);
-  std::map<size_t, HashIndex>& positions = lazy_indexes_[relation];
-  auto pos_it = positions.find(pos);
-  HashIndex* index = pos_it == positions.end() ? nullptr : &pos_it->second;
-  if (index == nullptr) {
-    const std::vector<sqo::Oid>& extent = Extent(relation);
-    if (extent.size() < min_extent) return nullptr;
-    HashIndex fresh;
-    fresh.reserve(extent.size());
-    for (sqo::Oid oid : extent) {
-      const Row& row = slots_[oid.raw()].row;
-      if (pos < row.size()) fresh[row[pos]].push_back(oid);
-    }
-    index = &(positions[pos] = std::move(fresh));
-    // A (relation, pos) that was built before only reaches this path after
-    // Clear() wiped the tables: that is a full rebuild, the event the
-    // delta-apply maintenance exists to avoid.
-    if (ever_built_.insert({relation, pos}).second) {
-      obs::Count("index.lazy_builds");
-    } else {
-      obs::Count("index.full_rebuilds");
-    }
-  }
-  if (built != nullptr) *built = true;
-  auto vit = index->find(value);
-  return vit == index->end() ? nullptr : &vit->second;
-}
-
-const std::vector<sqo::Oid>* ObjectStore::LazyIndexLookup(
-    const std::string& relation, size_t pos, const sqo::Value& value,
-    size_t min_extent, bool* built) const {
-  return LazyIndexLookup(Resolve(relation), pos, value, min_extent, built);
-}
-
 std::vector<ObjectStore::SecondaryIndexDump>
 ObjectStore::DumpSecondaryIndexes() const {
   std::lock_guard<std::mutex> lock(lazy_mu_);
   std::vector<SecondaryIndexDump> dumps;
-  for (datalog::RelationId relation = 0; relation < lazy_indexes_.size();
+  for (datalog::RelationId relation = 0; relation + 1 < index_base_.size();
        ++relation) {
-    for (const auto& [pos, index] : lazy_indexes_[relation]) {
+    for (size_t slot = index_base_[relation]; slot < index_base_[relation + 1];
+         ++slot) {
+      const IndexSlot& index = indexes_[slot];
+      if (index.declared || !index.built.load(std::memory_order_relaxed)) {
+        continue;
+      }
       SecondaryIndexDump dump;
       dump.relation = schema_->catalog.ById(relation).name;
-      dump.pos = pos;
-      dump.entries.reserve(index.size());
-      for (const auto& [value, oids] : index) {
+      dump.pos = slot - index_base_[relation];
+      dump.entries.reserve(index.table.size());
+      for (const auto& [value, oids] : index.table) {
         dump.entries.emplace_back(value, oids);
       }
       // Bucket order inside the hash table is incidental; sort the dump so
@@ -776,16 +744,17 @@ ObjectStore::DumpSecondaryIndexes() const {
 }
 
 void ObjectStore::RestoreSecondaryIndex(SecondaryIndexDump dump) {
-  const datalog::RelationId relation = Resolve(dump.relation);
-  if (relation >= lazy_indexes_.size() || members_[relation].empty()) return;
+  IndexSlot* slot = IndexSlotOf(Resolve(dump.relation), dump.pos);
+  if (slot == nullptr || slot->declared) return;
   std::lock_guard<std::mutex> lock(lazy_mu_);
   HashIndex index;
   index.reserve(dump.entries.size());
   for (auto& [value, oids] : dump.entries) {
     index[value] = std::move(oids);
   }
-  lazy_indexes_[relation][dump.pos] = std::move(index);
-  ever_built_.insert({relation, dump.pos});
+  slot->table = std::move(index);
+  slot->ever_built = true;
+  slot->built.store(true, std::memory_order_release);
   obs::Count("index.restored");
 }
 
@@ -913,20 +882,18 @@ void ObjectStore::Clear() {
   object_count_ = 0;
   for (std::vector<sqo::Oid>& extent : extents_) extent.clear();
   rels_.clear();
-  // Index *definitions* survive (they are physical-design choices, like
-  // methods); their contents are data and go.
-  for (auto& positions : indexes_) {
-    for (auto& [pos, index] : positions) {
-      (void)pos;
-      index.clear();
+  // Declared index *definitions* survive (they are physical-design
+  // choices, like methods); their contents are data and go. The adaptive
+  // indexes and ASR registrations are data-derived and go too; a slot's
+  // `ever_built` survives, so a post-Clear rebuild is counted as a full
+  // rebuild rather than a first build.
+  for (IndexSlot& index : indexes_) {
+    if (index.declared) {
+      index.table.clear();
+    } else {
+      index.table = HashIndex();
+      index.built.store(false, std::memory_order_relaxed);
     }
-  }
-  {
-    // The adaptive indexes and ASR registrations are data-derived and go
-    // too; `ever_built_` survives so a post-Clear rebuild is counted as a
-    // full rebuild rather than a first build.
-    std::lock_guard<std::mutex> lock(lazy_mu_);
-    for (auto& positions : lazy_indexes_) positions.clear();
   }
   asrs_.clear();
   stale_asr_count_.store(0, std::memory_order_release);
@@ -955,11 +922,13 @@ sqo::Status ObjectStore::RestoreNextOid(uint64_t next_oid) {
   return sqo::Status::Ok();
 }
 
+size_t ObjectStore::IndexDistinct(datalog::RelationId relation,
+                                  size_t pos) const {
+  return HasIndex(relation, pos) ? IndexSlotOf(relation, pos)->table.size() : 0;
+}
+
 size_t ObjectStore::IndexDistinct(const std::string& relation, size_t pos) const {
-  const datalog::RelationId rel = Resolve(relation);
-  if (rel >= indexes_.size()) return 0;
-  auto pit = indexes_[rel].find(pos);
-  return pit == indexes_[rel].end() ? 0 : pit->second.size();
+  return IndexDistinct(Resolve(relation), pos);
 }
 
 }  // namespace sqo::engine

@@ -66,7 +66,8 @@ struct Mutation {
 ///     adjacency; declared inverses are maintained automatically and
 ///     declared cardinalities are enforced on insert;
 ///   * methods are registered C++ callbacks, invoked by OID;
-///   * hash indexes can be built on any (class relation, attribute);
+///   * every (class relation, attribute) has one hash-index slot: built
+///     eagerly when declared (CreateIndex), else by its first probe;
 ///   * access support relations are materialized from their path
 ///     definition and then behave like relationships.
 class ObjectStore {
@@ -217,40 +218,34 @@ class ObjectStore {
   sqo::Result<sqo::Value> InvokeMethod(const std::string& method, sqo::Oid receiver,
                                        const std::vector<sqo::Value>& args) const;
 
+  /// Whether `relation`.`pos` has a declared index (CreateIndex). Pricing
+  /// reads only declared indexes, so a plan never depends on which
+  /// adaptive indexes earlier queries happened to build.
+  bool HasIndex(datalog::RelationId relation, size_t pos) const;
   bool HasIndex(const std::string& relation, size_t pos) const;
 
-  /// Index probe; nullptr when no index or no entry.
+  /// Probes the hash index on `relation`.`pos`: the declared one, or else
+  /// the adaptive one, which the first probe builds over the extent.
+  /// nullptr when the value has no entry or `relation`.`pos` is not an
+  /// attribute of a class or structure.
+  ///
+  /// Every index lives in one table per (relation, attribute) and is
+  /// maintained in place by every mutation of a member of `relation`
+  /// (counter "index.delta_applies" for adaptive ones); mutations of other
+  /// relations never touch it. Clear() discards the adaptive tables; a
+  /// build after Clear counts as "index.full_rebuilds" (first builds count
+  /// "index.lazy_builds").
+  ///
+  /// Thread-safe for concurrent readers: builds are serialized, and a
+  /// probe of a built index takes no lock. The returned pointer is valid
+  /// until the next store mutation; concurrent evaluation over an
+  /// immutable store — the parallel-profiling contract — never
+  /// invalidates it.
   const std::vector<sqo::Oid>* IndexLookup(datalog::RelationId relation,
                                            size_t pos,
                                            const sqo::Value& value) const;
   const std::vector<sqo::Oid>* IndexLookup(const std::string& relation, size_t pos,
                                            const sqo::Value& value) const;
-
-  /// Like IndexLookup, but over the store's *adaptive* secondary indexes:
-  /// the first probe of (relation, pos) whose extent has at least
-  /// `min_extent` members builds a hash index over that attribute. Once
-  /// built, the index is persistent: mutations to members of `relation`
-  /// apply deltas in place (counter "index.delta_applies") instead of
-  /// dropping the table, and mutations to other relations never touch it.
-  /// Only Clear() discards the tables; a build after Clear counts as
-  /// "index.full_rebuilds" (first-ever builds count "index.lazy_builds").
-  /// Returns nullptr when the extent is under the threshold or the value
-  /// has no entry — callers distinguish "no index" from "no match" via
-  /// `built`, set to true when an index (fresh or cached) answered the
-  /// probe.
-  ///
-  /// Thread-safe for concurrent readers (one mutex-guarded table). The
-  /// returned pointer is valid until the next store mutation; concurrent
-  /// evaluation over an immutable store — the parallel-profiling contract —
-  /// never invalidates it.
-  const std::vector<sqo::Oid>* LazyIndexLookup(datalog::RelationId relation,
-                                               size_t pos, const sqo::Value& value,
-                                               size_t min_extent,
-                                               bool* built) const;
-  const std::vector<sqo::Oid>* LazyIndexLookup(const std::string& relation,
-                                               size_t pos, const sqo::Value& value,
-                                               size_t min_extent,
-                                               bool* built) const;
 
   // ---- Statistics (for the planner / cost model) ----
 
@@ -259,7 +254,8 @@ class ObjectStore {
   /// Average out-degree (pairs / distinct sources); ≥ 0.
   double AvgFanout(const std::string& relation) const;
   double AvgReverseFanout(const std::string& relation) const;
-  /// Distinct values at an indexed position (0 when unindexed).
+  /// Distinct values at a position with a declared index (0 otherwise).
+  size_t IndexDistinct(datalog::RelationId relation, size_t pos) const;
   size_t IndexDistinct(const std::string& relation, size_t pos) const;
 
   const translate::TranslatedSchema& schema() const { return *schema_; }
@@ -287,14 +283,14 @@ class ObjectStore {
     bool stale = false;
   };
 
-  /// Every built adaptive secondary index (LazyIndexLookup tables), for
-  /// snapshot serialization.
+  /// Every built adaptive index (declared ones are not dumped: recovery
+  /// re-declares them), for snapshot serialization.
   std::vector<SecondaryIndexDump> DumpSecondaryIndexes() const;
 
-  /// Installs one secondary index restored from a snapshot, marking it as
+  /// Installs one adaptive index restored from a snapshot, marking it as
   /// previously built so a later from-scratch build counts as a full
-  /// rebuild. A dump over a relation that is not a class or structure of
-  /// the schema is dropped.
+  /// rebuild. A dump over a position that is not an attribute of a class
+  /// or structure of the schema, or that has a declared index, is dropped.
   void RestoreSecondaryIndex(SecondaryIndexDump dump);
 
   /// Maintenance states of every ASR materialized (or restored) into this
@@ -322,7 +318,7 @@ class ObjectStore {
   sqo::Status ApplyMutations(const std::vector<Mutation>& batch);
 
   /// Drops all data (objects, extents, relationship pairs, index *entries*
-  /// and lazy indexes) and resets OID allocation. Keeps what is code or
+  /// and adaptive indexes) and resets OID allocation. Keeps what is code or
   /// schema rather than data: registered methods, declared index positions
   /// (emptied, still maintained) and the inverse-relation cache. Recovery
   /// uses this between snapshot attempts when failing open to an older
@@ -379,6 +375,20 @@ class ObjectStore {
   };
   using HashIndex =
       std::unordered_map<sqo::Value, std::vector<sqo::Oid>, sqo::ValueHash, ValueEq>;
+
+  /// The hash index of one (relation, attribute position). A declared slot
+  /// (CreateIndex) is built eagerly; any other is built by its first
+  /// probe. `built` publishes the table: set with release order once the
+  /// table is complete and read with acquire order, so a probe of a built
+  /// index takes no lock.
+  struct IndexSlot {
+    HashIndex table;
+    std::atomic<bool> built{false};
+    bool declared = false;
+    /// Built before in this store's lifetime: a later from-scratch build
+    /// (after Clear) is a full rebuild.
+    bool ever_built = false;
+  };
 
   /// The id of relation `name`; kNoRelation when the catalog lacks it.
   datalog::RelationId Resolve(const std::string& name) const;
@@ -443,15 +453,23 @@ class ObjectStore {
                                        const std::map<std::string, sqo::Value>& attrs,
                                        bool is_struct);
 
-  /// Incremental maintenance of the adaptive secondary indexes, scoped to
-  /// the member relations of the mutated object's exact type (indexes over
-  /// unrelated relations are untouched). Each call that changes a built
-  /// index counts one "index.delta_applies".
-  void LazyIndexInsert(datalog::RelationId exact, const Row& row, sqo::Oid oid);
-  void LazyIndexUpdate(datalog::RelationId exact, size_t pos,
-                       const sqo::Value& old_value, const sqo::Value& new_value,
-                       sqo::Oid oid);
-  void LazyIndexErase(datalog::RelationId exact, const Row& row, sqo::Oid oid);
+  /// The index slot of `relation`.`pos`; nullptr when `pos` is not an
+  /// attribute position of a class or structure relation.
+  IndexSlot* IndexSlotOf(datalog::RelationId relation, size_t pos) const {
+    if (relation >= index_base_.size() - 1 || pos == 0) return nullptr;
+    const size_t slot = index_base_[relation] + pos;
+    return slot < index_base_[relation + 1] ? &indexes_[slot] : nullptr;
+  }
+
+  /// The built index of `relation`.`pos`, building an adaptive one first
+  /// if needed; nullptr when there is no such slot.
+  const HashIndex* BuiltIndex(datalog::RelationId relation, size_t pos) const;
+
+  /// Calls `fn(slot, pos)` for every built index over a member relation of
+  /// exact type `exact`: the indexes a mutation of such an object must
+  /// maintain (indexes over unrelated relations are untouched).
+  template <typename Fn>
+  void ForEachBuiltIndex(datalog::RelationId exact, Fn&& fn);
 
   /// Derives and inserts the ASR pairs a new `(src, dst)` pair of path
   /// relation `rel` gives rise to, for every fresh registered ASR whose
@@ -467,8 +485,8 @@ class ObjectStore {
 
   /// Read-path half of the lazy ASR self-heal: when `relation` names a
   /// stale ASR, re-derive its extent in place before the read proceeds.
-  /// Const because it runs on read accessors; like LazyIndexLookup the
-  /// rebuild happens under `lazy_mu_` and mutates only derived state.
+  /// Const because it runs on read accessors; like an adaptive index build
+  /// the rebuild happens under `lazy_mu_` and mutates only derived state.
   void LazyRebuildIfStale(const std::string& relation) const;
 
   /// Rebuilds one stale ASR (and, first, any stale ASR its path hops
@@ -490,19 +508,18 @@ class ObjectStore {
   // Tables indexed by RelationId, sized to the catalog at construction; an
   // id past the end (a later ASR) has an empty entry in each.
   std::vector<std::vector<sqo::Oid>> extents_;
-  std::vector<std::map<size_t, HashIndex>> indexes_;
   std::vector<MethodFn> methods_;
   std::map<std::string, RelData> rels_;
-  /// Adaptive attribute indexes (LazyIndexLookup), by RelationId: built on
-  /// first probe, then delta-maintained by mutations. Mutable: building
-  /// happens on const read paths; `lazy_mu_` guards the tables and
-  /// `ever_built_`.
+  /// One index slot per (class or structure relation, position): relation
+  /// r's positions are slots [index_base_[r], index_base_[r + 1]), so other
+  /// relations own none, and the table never grows after construction.
+  /// Mutable: adaptive builds happen on const read paths, serialized by
+  /// `lazy_mu_`.
+  mutable std::vector<IndexSlot> indexes_;
+  std::vector<size_t> index_base_;
+  /// Serializes the derived state built on read paths: adaptive index
+  /// builds and stale-ASR rebuilds.
   mutable std::mutex lazy_mu_;
-  mutable std::vector<std::map<size_t, HashIndex>> lazy_indexes_;
-  /// (relation, pos) pairs that were built at least once this store
-  /// lifetime — a later from-scratch build is a full rebuild, not a lazy
-  /// build.
-  mutable std::set<std::pair<datalog::RelationId, size_t>> ever_built_;
   /// Maintenance state of every materialized ASR, keyed by relation name.
   std::map<std::string, AsrState> asrs_;
   /// Number of entries of `asrs_` with `stale == true`. The read accessors

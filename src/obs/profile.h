@@ -18,19 +18,21 @@ struct ProfileNode {
   int id = 0;
   int parent = -1;
 
-  /// Operator kind, fixed vocabulary: "oid-lookup", "index-probe",
-  /// "lazy-index-probe", "hash-join", "extent-scan", "traverse",
-  /// "reverse-traverse", "pair-scan", "filter", "anti-join", "guard",
-  /// "invoke", "emit". Empty when the operator was planned but never
-  /// executed (an upstream step produced no bindings).
+  /// Operator kind, recorded by the executor branch that ran it — one per
+  /// planner step kind: "filter", "oid-lookup", "index-probe" (declared or
+  /// adaptive hash index), "extent-scan", "shared-scan" (one scan replayed
+  /// for every binding), "traverse", "reverse-traverse", "edge-check",
+  /// "pair-scan", "invoke", "anti-join", "guard" (a membership guard
+  /// checked inside its scan), plus the final "emit". Empty when the
+  /// operator was planned but never executed (an upstream step produced no
+  /// bindings).
   std::string op;
 
   /// Relation (or attribute for probes) the operator touches; the literal
   /// text for filters.
   std::string relation;
 
-  /// Planner's step description for this literal ("index probe
-  /// faculty.name"), when the plan came from the planner.
+  /// The planner's text for this step ("index probe faculty.name").
   std::string detail;
 
   /// Which residue/IC introduced this literal, filled by

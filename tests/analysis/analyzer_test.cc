@@ -458,6 +458,11 @@ TEST(AnalyzerProfileTest, A014FlagsExtentScanOnKeyedClass) {
   EXPECT_EQ(d.subject, "faculty");
   EXPECT_NE(d.message.find("20 probe(s)"), std::string::npos) << d.message;
   EXPECT_NE(d.message.find("name"), std::string::npos) << d.message;
+  // A scan shared by every binding is a full extent scan all the same.
+  EXPECT_EQ(CountCode(AnalyzeProfile(
+                          ts, ProfileWithNode("shared-scan", "faculty", 20)),
+                      kCodeExtentScanWithIndexHint),
+            1u);
 }
 
 TEST(AnalyzerProfileTest, A014DeduplicatesPerRelation) {
@@ -537,7 +542,7 @@ TEST(AnalyzerProfileTest, A019SilentForFreshAsrsProbesAndOtherRelations) {
                   ProfileWithNode("traverse", "takes", 40), stale)
                   .empty());
   EXPECT_TRUE(AnalyzeAsrStaleness(
-                  ProfileWithNode("hash-join", "student", 40), stale)
+                  ProfileWithNode("index-probe", "student.age", 40), stale)
                   .empty());
   // Scans over relations outside the ASR's coverage stay silent.
   EXPECT_TRUE(AnalyzeAsrStaleness(

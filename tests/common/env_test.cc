@@ -16,13 +16,15 @@ namespace {
 /// Per-test scratch directory (the test name keeps `ctest -j` runs of
 /// sibling tests from wiping each other's files).
 std::string FreshDir() {
-  std::string dir = ::testing::TempDir() + "sqo_env";
+  std::string name = "sqo_env";
   if (const ::testing::TestInfo* info =
           ::testing::UnitTest::GetInstance()->current_test_info();
       info != nullptr) {
-    dir += std::string("_") + info->name();
-    std::replace(dir.begin(), dir.end(), '/', '_');
+    name += std::string("_") + info->name();
   }
+  // Parameterized test names contain '/': flatten the name, not the root.
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::string dir = ::testing::TempDir() + name;
   Env& env = *Env::Default();
   EXPECT_TRUE(env.EnsureDir(dir).ok());
   if (auto names = env.ListDir(dir); names.ok()) {

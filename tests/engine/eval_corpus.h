@@ -14,9 +14,14 @@ inline constexpr const char* kEvalCorpus[] = {
     "q(X) :- person(oid: X, age: A), A < 25, A > 17.",
     // Key-index probe.
     "q(X) :- student(oid: X, name: N), N = \"john\".",
-    // Attribute equi-join via shared variable (the hash-join path).
+    // Adaptive-index probes: a constant selection on an unkeyed attribute,
+    // one on an extent of under 16 members, and attribute equi-joins via
+    // a shared variable (a small extent's too).
+    "q(N) :- student(oid: X, name: N, age: A), A = 21.",
+    "q(C) :- course(oid: C, cname: N), N = \"course_3\".",
     "q(X, Y) :- student(oid: X, age: A), ta(oid: Y, age: A).",
     "q(X, Y) :- person(oid: X, age: A), faculty(oid: Y, age: A).",
+    "q(S, C) :- section(oid: S, number: N), course(oid: C, cname: N).",
     // Relationship traversal, forward and reverse, and pair scans.
     "q(N, Num) :- student(oid: X, name: N), takes(X, Y), "
     "section(oid: Y, number: Num), N = \"john\".",
@@ -41,6 +46,10 @@ inline constexpr const char* kEvalCorpus[] = {
     "q(V) :- faculty(oid: X), taxes_withheld(X, 10%, V), V < 1000.",
     // Mixed: join + negation + comparison.
     "q(N) :- student(oid: X, name: N, age: A), A > 18, not takes(X, Y).",
+    // A guard-shaped negation over a variable a traversal binds: no scan
+    // checks it, so it runs as an anti-join.
+    "q(Z) :- student(oid: X, name: N), N = \"john\", takes(X, Y), "
+    "is_taught_by(Y, Z), not ta(oid: Z).",
 };
 
 }  // namespace sqo::engine

@@ -2,13 +2,14 @@
 // operator and access path (eval_corpus.h), on several generator seeds and
 // option settings, the executor's rows must equal the naive reference
 // evaluator's (reference_eval.h) as sorted bags. Plus pinned EvalStats for
-// two plans, and a concurrent-read test over the persistent lazy-index
-// structures (the TSan target: `ctest -L perf` is the tsan preset's
-// suite). The suites keep the `BatchEval` names they had when a second,
+// two plans, and concurrent reads racing the first probe of an adaptive
+// index (the TSan target: `ctest -L perf` is the tsan preset's suite).
+// The suites keep the `BatchEval` names they had when a second,
 // set-at-a-time engine existed, so their test histories continue.
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -96,17 +97,6 @@ TEST(BatchEvalDifferential, DistinctOff) {
   }
 }
 
-TEST(BatchEvalDifferential, AutoIndexOff) {
-  // Unindexed equality joins take the hash-join path instead of the
-  // adaptive index.
-  World world = MakeWorld(42);
-  EvalOptions options;
-  options.auto_index = false;
-  for (const char* text : kEvalCorpus) {
-    ExpectMatchesOracle(world, text, options);
-  }
-}
-
 TEST(BatchEvalDifferential, MaxTuplesEdgeCases) {
   // The limit counts bindings before DISTINCT, so evaluation overflows
   // exactly when the reference bag is larger than the limit — even when
@@ -174,7 +164,8 @@ TEST(BatchEvalDifferential, StatsAgreeOnIndexedSelection) {
       Parse(world, "q(X) :- student(oid: X, name: N), N = \"john\".");
   const Plan plan = PlanQuery(query, world.db->store());
   ASSERT_EQ(plan.steps.size(), 2u);
-  EXPECT_EQ(plan.steps[0].rfind("filter", 0), 0u) << plan.ToString();
+  EXPECT_EQ(plan.steps[0].kind, StepKind::kFilter)
+      << plan.ToString(query, world.pipeline->schema().catalog);
   obs::EvalStats stats;
   auto rows = world.db->Run(query, &stats);
   ASSERT_TRUE(rows.ok()) << rows.status().ToString();
@@ -185,70 +176,77 @@ TEST(BatchEvalDifferential, StatsAgreeOnIndexedSelection) {
   EXPECT_EQ(stats.results, 1u);
 }
 
-TEST(BatchEvalDifferential, StatsOfAnAmortizedHashJoin) {
-  // Age join with auto_index off: the first relation access scans once;
-  // the second step builds one hash table (one more physical scan) that
-  // every binding probes. Fetches stay logical: the build's fetches are
-  // charged to every binding that probes it.
+TEST(BatchEvalDifferential, StatsOfAnAdaptiveIndexJoin) {
+  // Age join: the first relation access scans once; the second step has
+  // a bound attribute and no declared index, so every binding probes the
+  // adaptive index its first probe built. Each probe fetches only its
+  // bucket, and every bucket candidate matches on the one compared
+  // attribute.
   World world = MakeWorld(42);
-  const datalog::Query query =
-      Parse(world, "q(X, Y) :- student(oid: X, age: A), ta(oid: Y, age: A).");
-  EvalOptions options;
-  options.auto_index = false;
-  auto run = world.db->ProfileQuery(query, options);
+  const std::string text =
+      "q(X, Y) :- student(oid: X, age: A), ta(oid: Y, age: A).";
+  const datalog::Query query = Parse(world, text);
+  auto run = world.db->ProfileQuery(query);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   ASSERT_EQ(run->profile.nodes.size(), 3u);  // two steps + emit
   EXPECT_EQ(run->profile.nodes[0].op, "extent-scan");
-  EXPECT_EQ(run->profile.nodes[1].op, "hash-join");
+  EXPECT_EQ(run->profile.nodes[1].op, "index-probe");
+  EXPECT_TRUE(run->profile.nodes[1].index_used);
   const uint64_t outer =
       world.db->store().Extent(run->profile.nodes[0].relation).size();
-  const uint64_t inner =
-      world.db->store().Extent(query.body[run->profile.nodes[1].literal_index]
-                                   .atom.predicate())
-          .size();
   EXPECT_EQ(run->profile.nodes[1].rows_in, outer);
-  EXPECT_EQ(run->stats.extent_scans, 2u);
-  EXPECT_EQ(run->stats.objects_fetched, outer + outer * inner);
-  EXPECT_EQ(run->stats.index_probes, 0u);
-  // One comparison (the join attribute) per hash-bucket candidate.
+  EXPECT_EQ(run->stats.extent_scans, 1u);
+  EXPECT_EQ(run->stats.index_probes, outer);
+  EXPECT_EQ(run->stats.objects_fetched, outer + run->stats.tuples_emitted);
   EXPECT_EQ(run->stats.comparisons, run->stats.tuples_emitted);
   EXPECT_GT(run->stats.results, 0u);
+  ExpectMatchesOracle(world, text);
 }
 
 TEST(BatchEvalConcurrency, ParallelReadsOverLazyIndexes) {
-  // Concurrent evaluations sharing one store: every thread probes (and the
-  // first ones race to build) the persistent secondary index on
-  // student.age. Run under TSan via the perf-label preset.
+  // Concurrent evaluations sharing one store race the first probe of the
+  // adaptive indexes neither query has built yet: one thread builds each
+  // index, the others wait for it or probe the published table without a
+  // lock. Run under TSan via the perf-label preset.
   World world = MakeWorld(42);
   const datalog::Query query =
       Parse(world, "q(X) :- student(oid: X, age: A), A = 21.");
   const datalog::Query join = Parse(
       world, "q(X, Y) :- student(oid: X, age: A), ta(oid: Y, age: A).");
-  Rows expected;
-  {
-    auto rows = world.db->Run(query);
-    ASSERT_TRUE(rows.ok());
-    expected = *rows;
-  }
+  auto expected = ReferenceEvaluate(world.db->store(), query);
+  auto expected_join = ReferenceEvaluate(world.db->store(), join);
+  ASSERT_TRUE(expected.ok() && expected_join.ok());
+  ASSERT_TRUE(world.db->store().DumpSecondaryIndexes().empty());
   constexpr int kThreads = 8;
+  std::latch start(kThreads);
   std::vector<std::thread> threads;
   std::vector<int> failures(kThreads, 0);
+  std::vector<obs::MetricsRegistry> metrics(kThreads);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
+      obs::ScopedMetrics install(&metrics[t]);
+      start.arrive_and_wait();
       for (int i = 0; i < 20; ++i) {
-        EvalOptions options;
-        options.auto_index = (t % 2 == 0);
-        auto rows = world.db->Run(query, nullptr, options);
-        if (!rows.ok() || *rows != expected) ++failures[t];
-        auto joined = world.db->Run(join, nullptr, options);
-        if (!joined.ok()) ++failures[t];
+        auto rows = world.db->Run(query);
+        if (!rows.ok() || SortedBag(*rows) != SortedBag(*expected)) {
+          ++failures[t];
+        }
+        auto joined = world.db->Run(join);
+        if (!joined.ok() || SortedBag(*joined) != SortedBag(*expected_join)) {
+          ++failures[t];
+        }
       }
     });
   }
   for (auto& thread : threads) thread.join();
+  uint64_t builds = 0;
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
+    builds += metrics[t].CounterValue("index.lazy_builds");
   }
+  // Each index the queries probe was built exactly once.
+  EXPECT_EQ(builds, world.db->store().DumpSecondaryIndexes().size());
+  EXPECT_GT(builds, 0u);
 }
 
 }  // namespace

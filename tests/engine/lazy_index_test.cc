@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -9,24 +8,13 @@
 #include "engine/database.h"
 #include "engine/evaluator.h"
 #include "obs/metrics.h"
+#include "reference_eval.h"
 #include "workload/university.h"
 
 namespace sqo::engine {
 namespace {
 
 using sqo::Value;
-
-/// Order-insensitive canonical form of a result set, for differential
-/// comparison between evaluation strategies.
-std::multiset<std::string> Canon(const std::vector<std::vector<Value>>& rows) {
-  std::multiset<std::string> out;
-  for (const auto& row : rows) {
-    std::string line;
-    for (const Value& v : row) line += v.ToString() + "|";
-    out.insert(std::move(line));
-  }
-  return out;
-}
 
 class LazyIndexTest : public ::testing::Test {
  protected:
@@ -57,6 +45,17 @@ class LazyIndexTest : public ::testing::Test {
     return *sig->AttributeIndex("age");
   }
 
+  /// Evaluates `query` and asserts its rows equal the reference
+  /// evaluator's, which reads no index.
+  void ExpectMatchesReference(const datalog::Query& query,
+                              obs::EvalStats* stats = nullptr) {
+    auto rows = db_->Run(query, stats);
+    auto expected = ReferenceEvaluate(db_->store(), query);
+    ASSERT_TRUE(rows.ok()) << query.ToString() << ": " << rows.status().ToString();
+    ASSERT_TRUE(expected.ok()) << query.ToString();
+    EXPECT_EQ(SortedBag(*rows), SortedBag(*expected)) << query.ToString();
+  }
+
   std::unique_ptr<core::Pipeline> pipeline_;
   std::unique_ptr<Database> db_;
 };
@@ -70,17 +69,16 @@ TEST_F(LazyIndexTest, BuildsOnFirstProbeAndAnswersLookups) {
 
   obs::MetricsRegistry metrics;
   obs::ScopedMetrics install(&metrics);
-  bool built = false;
-  const std::vector<sqo::Oid>* oids =
-      store.LazyIndexLookup("person", age_pos, *age, 16, &built);
-  ASSERT_TRUE(built);
+  const std::vector<sqo::Oid>* oids = store.IndexLookup("person", age_pos, *age);
   ASSERT_NE(oids, nullptr);
   EXPECT_NE(std::find(oids->begin(), oids->end(), first), oids->end());
   EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 1u);
+  // An adaptive index is not declared: pricing never sees it.
+  EXPECT_FALSE(store.HasIndex("person", age_pos));
+  EXPECT_EQ(store.IndexDistinct("person", age_pos), 0u);
 
   // Second probe reuses the built index.
-  store.LazyIndexLookup("person", age_pos, *age, 16, &built);
-  EXPECT_TRUE(built);
+  store.IndexLookup("person", age_pos, *age);
   EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 1u);
 }
 
@@ -91,52 +89,52 @@ TEST_F(LazyIndexTest, MutationDeltaMaintainsLazyIndex) {
   auto old_age = store.AttributeOf("person", first, age_pos);
   ASSERT_TRUE(old_age.ok());
 
-  bool built = false;
-  store.LazyIndexLookup("person", age_pos, *old_age, 16, &built);
-  ASSERT_TRUE(built);
+  ASSERT_NE(store.IndexLookup("person", age_pos, *old_age), nullptr);
 
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics install(&metrics);
   ASSERT_TRUE(store.UpdateAttribute(first, "age", Value::Int(999)).ok());
 
   // The update was delta-applied in place (no drop/rebuild): the index
   // reflects the new value and the old entry is gone.
   const std::vector<sqo::Oid>* updated =
-      store.LazyIndexLookup("person", age_pos, Value::Int(999), 16, &built);
-  ASSERT_TRUE(built);
+      store.IndexLookup("person", age_pos, Value::Int(999));
   ASSERT_NE(updated, nullptr);
   EXPECT_NE(std::find(updated->begin(), updated->end(), first), updated->end());
   const std::vector<sqo::Oid>* stale =
-      store.LazyIndexLookup("person", age_pos, *old_age, 16, &built);
+      store.IndexLookup("person", age_pos, *old_age);
   if (stale != nullptr) {
     EXPECT_EQ(std::find(stale->begin(), stale->end(), first), stale->end());
   }
+  EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 0u);
+  EXPECT_EQ(metrics.CounterValue("index.delta_applies"), 1u);
 }
 
-TEST_F(LazyIndexTest, SmallExtentsAreNotIndexed) {
-  ObjectStore& store = db_->store();
-  bool built = true;
-  const std::vector<sqo::Oid>* oids = store.LazyIndexLookup(
-      "person", AgePos(), Value::Int(30), 1'000'000'000, &built);
-  EXPECT_FALSE(built);
-  EXPECT_EQ(oids, nullptr);
+TEST_F(LazyIndexTest, SmallExtentsAreIndexedToo) {
+  // Course has 5 members here: a bound attribute is still an index probe,
+  // whatever the extent size.
+  const datalog::Query query =
+      ParseQ("q(C) :- course(oid: C, cname: N), N = \"course3\".");
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics install(&metrics);
+  obs::EvalStats stats;
+  ExpectMatchesReference(query, &stats);
+  EXPECT_EQ(stats.extent_scans, 0u);
+  EXPECT_EQ(stats.index_probes, 1u);
+  EXPECT_EQ(stats.objects_fetched, stats.results);
+  EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 1u);
 }
 
 TEST_F(LazyIndexTest, EqualitySelectionUsesLazyIndexInsteadOfScan) {
-  // `age` has no explicit index; with auto-indexing the constant selection
-  // probes instead of scanning the person extent.
-  const std::string text = "q(X) :- person(oid: X, age: A), A = 31.";
-  EvalOptions indexed;
-  EvalOptions linear;
-  linear.auto_index = false;
-  obs::EvalStats stats_indexed, stats_linear;
-  auto rows_indexed = db_->Run(ParseQ(text), &stats_indexed, indexed);
-  auto rows_linear = db_->Run(ParseQ(text), &stats_linear, linear);
-  ASSERT_TRUE(rows_indexed.ok());
-  ASSERT_TRUE(rows_linear.ok());
-  EXPECT_EQ(Canon(*rows_indexed), Canon(*rows_linear));
-  EXPECT_EQ(stats_indexed.extent_scans, 0u);
-  EXPECT_GT(stats_indexed.index_probes, 0u);
-  EXPECT_GT(stats_linear.extent_scans, 0u);
-  EXPECT_LT(stats_indexed.objects_fetched, stats_linear.objects_fetched);
+  // `age` has no declared index: the constant selection probes the
+  // adaptive index instead of scanning the person extent.
+  const datalog::Query query = ParseQ("q(X) :- person(oid: X, age: A), A = 31.");
+  obs::EvalStats stats;
+  ExpectMatchesReference(query, &stats);
+  EXPECT_EQ(stats.extent_scans, 0u);
+  EXPECT_GT(stats.index_probes, 0u);
+  EXPECT_EQ(stats.objects_fetched, stats.results);
+  EXPECT_LT(stats.objects_fetched, db_->store().Extent("person").size());
 }
 
 TEST_F(LazyIndexTest, DifferentialAcrossEqualityQueries) {
@@ -152,22 +150,13 @@ TEST_F(LazyIndexTest, DifferentialAcrossEqualityQueries) {
       "q(N, Num) :- student(oid: X, name: N, age: A), A = 20, takes(X, Y), "
       "section(oid: Y, number: Num).",
   };
-  for (const char* text : queries) {
-    EvalOptions indexed;
-    EvalOptions linear;
-    linear.auto_index = false;
-    auto rows_indexed = db_->Run(ParseQ(text), nullptr, indexed);
-    auto rows_linear = db_->Run(ParseQ(text), nullptr, linear);
-    ASSERT_TRUE(rows_indexed.ok()) << text;
-    ASSERT_TRUE(rows_linear.ok()) << text;
-    EXPECT_EQ(Canon(*rows_indexed), Canon(*rows_linear)) << text;
-  }
+  for (const char* text : queries) ExpectMatchesReference(ParseQ(text));
 }
 
 TEST_F(LazyIndexTest, WorkloadAlternativesIdenticalWithAndWithoutIndexes) {
-  // Every alternative of every paper query must return the same result set
-  // under indexed and linear evaluation — and across alternatives, since
-  // they are semantically equivalent.
+  // Every alternative of every paper query must return the reference
+  // evaluator's rows (it reads no index) — and so the same rows across
+  // alternatives, since they are semantically equivalent.
   const std::string queries[] = {
       workload::QueryScopeReduction(),
       workload::QueryJoinElimination(),
@@ -179,24 +168,13 @@ TEST_F(LazyIndexTest, WorkloadAlternativesIdenticalWithAndWithoutIndexes) {
     ASSERT_TRUE(result.ok()) << oql;
     ASSERT_FALSE(result->contradiction);
     ASSERT_FALSE(result->alternatives.empty());
-    EvalOptions indexed;
-    EvalOptions linear;
-    linear.auto_index = false;
-    std::multiset<std::string> reference;
-    bool have_reference = false;
+    auto reference = ReferenceEvaluate(db_->store(), result->original_datalog);
+    ASSERT_TRUE(reference.ok()) << oql;
     for (const core::Alternative& alt : result->alternatives) {
-      auto rows_indexed = db_->Run(alt.datalog, nullptr, indexed);
-      auto rows_linear = db_->Run(alt.datalog, nullptr, linear);
-      ASSERT_TRUE(rows_indexed.ok()) << alt.datalog.ToString();
-      ASSERT_TRUE(rows_linear.ok()) << alt.datalog.ToString();
-      EXPECT_EQ(Canon(*rows_indexed), Canon(*rows_linear))
+      auto rows = db_->Run(alt.datalog);
+      ASSERT_TRUE(rows.ok()) << alt.datalog.ToString();
+      EXPECT_EQ(SortedBag(*rows), SortedBag(*reference))
           << alt.datalog.ToString();
-      if (!have_reference) {
-        reference = Canon(*rows_indexed);
-        have_reference = true;
-      } else {
-        EXPECT_EQ(Canon(*rows_indexed), reference) << alt.datalog.ToString();
-      }
     }
   }
 }

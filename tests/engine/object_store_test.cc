@@ -308,22 +308,15 @@ TEST_F(ObjectStoreTest, DeleteObjectScrubsEverything) {
 }
 
 TEST_F(ObjectStoreTest, LazyIndexDeltaScopedToMutatedRelation) {
-  // Two lazily built indexes over disjoint relations: mutations against
-  // one must delta-apply to that index only, never rebuild or touch the
-  // other (the old clear-on-write scheme invalidated everything).
+  // Two adaptive indexes over disjoint relations: mutations against one
+  // must delta-apply to that index only, never rebuild or touch the other.
   for (int i = 0; i < 20; ++i) {
     MustCreate("Person", {{"name", Value::String("p" + std::to_string(i))},
                           {"age", Value::Int(20 + i)}});
     MustCreate("Course", {{"cname", Value::String("c" + std::to_string(i))}});
   }
-  bool built = false;
-  ASSERT_NE(store_->LazyIndexLookup("person", 2, Value::Int(25), 16, &built),
-            nullptr);
-  ASSERT_TRUE(built);
-  ASSERT_NE(store_->LazyIndexLookup("course", 1, Value::String("c3"), 16,
-                                    &built),
-            nullptr);
-  ASSERT_TRUE(built);
+  ASSERT_NE(store_->IndexLookup("person", 2, Value::Int(25)), nullptr);
+  ASSERT_NE(store_->IndexLookup("course", 1, Value::String("c3")), nullptr);
 
   obs::MetricsRegistry metrics;
   obs::ScopedMetrics install(&metrics);
@@ -335,21 +328,47 @@ TEST_F(ObjectStoreTest, LazyIndexDeltaScopedToMutatedRelation) {
   EXPECT_EQ(metrics.CounterValue("index.full_rebuilds"), 0u);
 
   // The person index is untouched: probing it is not a (re)build.
-  const auto* hits =
-      store_->LazyIndexLookup("person", 2, Value::Int(25), 16, &built);
+  const auto* hits = store_->IndexLookup("person", 2, Value::Int(25));
   ASSERT_NE(hits, nullptr);
   EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 0u);
   EXPECT_EQ(metrics.CounterValue("index.full_rebuilds"), 0u);
   // The course index reflects the delta without a rebuild.
   const auto* renamed =
-      store_->LazyIndexLookup("course", 1, Value::String("renamed"), 16,
-                              &built);
+      store_->IndexLookup("course", 1, Value::String("renamed"));
   ASSERT_NE(renamed, nullptr);
   EXPECT_EQ((*renamed)[0], course);
-  EXPECT_EQ(store_->LazyIndexLookup("course", 1, Value::String("c0"), 16,
-                                    &built),
-            nullptr);
+  EXPECT_EQ(store_->IndexLookup("course", 1, Value::String("c0")), nullptr);
   EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 0u);
+}
+
+TEST_F(ObjectStoreTest, SameValueUpdateLeavesIndexesUntouched) {
+  // Rewriting an attribute with an equal value keeps the object at its
+  // place in its bucket, so later probes see the same order, and applies
+  // no index delta.
+  ASSERT_TRUE(store_->CreateIndex("person", "name").ok());
+  std::vector<sqo::Oid> oids;
+  for (int i = 0; i < 3; ++i) {
+    oids.push_back(MustCreate("Person", {{"name", Value::String("same")},
+                                         {"age", Value::Int(30)}}));
+  }
+  ASSERT_NE(store_->IndexLookup("person", 2, Value::Int(30)), nullptr);
+
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics install(&metrics);
+  ASSERT_TRUE(store_->UpdateAttribute(oids[0], "age", Value::Int(30)).ok());
+  ASSERT_TRUE(
+      store_->UpdateAttribute(oids[0], "name", Value::String("same")).ok());
+  EXPECT_EQ(*store_->IndexLookup("person", 2, Value::Int(30)), oids);
+  EXPECT_EQ(*store_->IndexLookup("person", 1, Value::String("same")), oids);
+  EXPECT_EQ(metrics.CounterValue("index.delta_applies"), 0u);
+
+  // A different value still moves the object (to the end of its new
+  // bucket).
+  ASSERT_TRUE(store_->UpdateAttribute(oids[0], "age", Value::Int(31)).ok());
+  ASSERT_TRUE(store_->UpdateAttribute(oids[0], "age", Value::Int(30)).ok());
+  EXPECT_EQ(*store_->IndexLookup("person", 2, Value::Int(30)),
+            (std::vector<sqo::Oid>{oids[1], oids[2], oids[0]}));
+  EXPECT_EQ(metrics.CounterValue("index.delta_applies"), 2u);
 }
 
 TEST_F(ObjectStoreTest, RelationshipChurnKeepsAttributeIndexes) {
@@ -358,10 +377,7 @@ TEST_F(ObjectStoreTest, RelationshipChurnKeepsAttributeIndexes) {
                            {"age", Value::Int(20)}});
   }
   sqo::Oid section = MustCreate("Section", {});
-  bool built = false;
-  ASSERT_NE(store_->LazyIndexLookup("student", 2, Value::Int(20), 16, &built),
-            nullptr);
-  ASSERT_TRUE(built);
+  ASSERT_NE(store_->IndexLookup("student", 2, Value::Int(20)), nullptr);
 
   obs::MetricsRegistry metrics;
   obs::ScopedMetrics install(&metrics);
@@ -370,8 +386,7 @@ TEST_F(ObjectStoreTest, RelationshipChurnKeepsAttributeIndexes) {
   ASSERT_TRUE(store_->Unrelate("takes", student, section).ok());
   // Pair churn is invisible to attribute indexes: no deltas, no rebuilds,
   // and the next probe reuses the built index.
-  ASSERT_NE(store_->LazyIndexLookup("student", 2, Value::Int(20), 16, &built),
-            nullptr);
+  ASSERT_NE(store_->IndexLookup("student", 2, Value::Int(20)), nullptr);
   EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 0u);
   EXPECT_EQ(metrics.CounterValue("index.full_rebuilds"), 0u);
 }

@@ -7,6 +7,7 @@
 #include "common/crc32c.h"
 #include "common/failpoint.h"
 #include "common/fileio.h"
+#include "obs/metrics.h"
 #include "storage/catalog.h"
 #include "storage_test_util.h"
 
@@ -53,12 +54,9 @@ TEST_F(SnapshotTest, RoundTripRestoresEveryObjectAndPair) {
 
 TEST_F(SnapshotTest, IndexSectionRoundTripsIndexesAndAsrStates) {
   auto db = storage_test::MakePopulatedDb();
-  // Build the lazy secondary index on person.age (extent 19 >= 16) and
-  // mark the workload ASR stale, so both halves of the index section are
-  // non-trivial.
-  bool built = false;
-  db->store().LazyIndexLookup("person", 2, sqo::Value::Int(21), 16, &built);
-  ASSERT_TRUE(built);
+  // Build the adaptive index on person.age and mark the workload ASR
+  // stale, so both halves of the index section are non-trivial.
+  db->store().IndexLookup("person", 2, sqo::Value::Int(21));
   ASSERT_FALSE(db->store().DumpSecondaryIndexes().empty());
   ASSERT_FALSE(db->store().AsrStates().empty());
   const auto& takes = db->store().Pairs("takes");
@@ -88,6 +86,8 @@ TEST_F(SnapshotTest, IndexSectionRoundTripsIndexesAndAsrStates) {
 
   // Restoring the dumps reinstalls a servable index: the next lookup is a
   // probe, not a build.
+  obs::MetricsRegistry metrics;
+  obs::ScopedMetrics scoped(&metrics);
   auto restored = storage_test::MakeEmptyDb();
   ASSERT_TRUE(restored->store().ApplyMutations(contents->objects).ok());
   ASSERT_TRUE(restored->store().ApplyMutations(contents->pairs).ok());
@@ -99,10 +99,10 @@ TEST_F(SnapshotTest, IndexSectionRoundTripsIndexesAndAsrStates) {
     restored->store().RestoreAsrState(std::move(asr));
   }
   const auto* original =
-      db->store().LazyIndexLookup("person", 2, sqo::Value::Int(21), 16, &built);
-  const auto* probed = restored->store().LazyIndexLookup(
-      "person", 2, sqo::Value::Int(21), 16, &built);
-  ASSERT_TRUE(built);
+      db->store().IndexLookup("person", 2, sqo::Value::Int(21));
+  const auto* probed =
+      restored->store().IndexLookup("person", 2, sqo::Value::Int(21));
+  EXPECT_EQ(metrics.CounterValue("index.lazy_builds"), 0u);
   if (original == nullptr) {
     EXPECT_EQ(probed, nullptr);
   } else {
@@ -113,9 +113,8 @@ TEST_F(SnapshotTest, IndexSectionRoundTripsIndexesAndAsrStates) {
 
 TEST_F(SnapshotTest, IndexSectionBitFlipIsCorruption) {
   auto db = storage_test::MakePopulatedDb();
-  bool built = false;
-  db->store().LazyIndexLookup("person", 2, sqo::Value::Int(21), 16, &built);
-  ASSERT_TRUE(built);
+  db->store().IndexLookup("person", 2, sqo::Value::Int(21));
+  ASSERT_FALSE(db->store().DumpSecondaryIndexes().empty());
   const sqo::Fingerprint128 hash =
       SchemaFingerprint(storage_test::UniversityPipeline().schema());
   ASSERT_TRUE(WriteSnapshot(path_, db->store(), hash, 3, "{}").ok());

@@ -23,13 +23,15 @@ namespace sqo::storage_test {
 /// leftovers from a previous run. The current test's name is folded into
 /// the path so tests sharing a tag stay isolated under `ctest -j`.
 inline std::string FreshDir(const std::string& tag) {
-  std::string dir = ::testing::TempDir() + "sqo_storage_" + tag;
+  std::string name = "sqo_storage_" + tag;
   if (const ::testing::TestInfo* info =
           ::testing::UnitTest::GetInstance()->current_test_info();
       info != nullptr) {
-    dir += std::string("_") + info->name();
-    std::replace(dir.begin(), dir.end(), '/', '_');
+    name += std::string("_") + info->name();
   }
+  // Parameterized test names contain '/': flatten the name, not the root.
+  std::replace(name.begin(), name.end(), '/', '_');
+  const std::string dir = ::testing::TempDir() + name;
   if (sqo::Result<std::vector<std::string>> names = fs::ListDir(dir);
       names.ok()) {
     for (const std::string& name : *names) {
