@@ -13,6 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/context.h"
@@ -332,6 +333,54 @@ void BM_PlanQuery(benchmark::State& state) {
   state.counters["plans"] = static_cast<double>(queries.size());
 }
 BENCHMARK(BM_PlanQuery)->Arg(0)->Arg(1)->Arg(2);
+
+// Step 3 alone (Optimizer::Optimize) on the Step-2 query of each of the six
+// shapes servebench's paper_small workload serves: §4.3 Example 2, §5.2
+// scope reduction, §5.3 with the student fixed by its key, §5.4 direct and
+// indirect, and a key lookup. The counters come from one extra call under
+// a metrics registry and count the work of one Optimize: alternatives,
+// residue applications tried, closures derived afresh, closures extended
+// from a parent's, removal children's filtered closures, and first-only
+// reduction scans of the fixpoint. All are deterministic.
+void BM_Step3_PaperShape(benchmark::State& state, const std::string& oql) {
+  const core::Pipeline& pipeline = UniversityBenchPipeline();
+  auto translated = pipeline.OptimizeText(oql);
+  if (!translated.ok()) {
+    state.SkipWithError(translated.status().ToString().c_str());
+    return;
+  }
+  const datalog::Query query = translated->original_datalog;
+  const core::Optimizer optimizer(&pipeline.compiled(),
+                                  pipeline.options().optimizer);
+  for (auto _ : state) {
+    auto outcome = optimizer.Optimize(query);
+    benchmark::DoNotOptimize(outcome);
+  }
+  obs::MetricsRegistry metrics;
+  size_t alternatives = 0;
+  {
+    obs::ScopedMetrics scoped(&metrics);
+    auto outcome = optimizer.Optimize(query);
+    if (outcome.ok()) alternatives = outcome->equivalents.size();
+  }
+  state.counters["alternatives"] = static_cast<double>(alternatives);
+  for (const char* name :
+       {"optimizer.residues_tried", "optimizer.closures_derived",
+        "optimizer.closures_extended", "optimizer.child_closures",
+        "optimizer.fixpoint_scans"}) {
+    state.counters[name] = static_cast<double>(metrics.CounterValue(name));
+  }
+}
+BENCHMARK_CAPTURE(BM_Step3_PaperShape, ex2, workload::QueryExample2());
+BENCHMARK_CAPTURE(BM_Step3_PaperShape, scope, workload::QueryScopeReduction());
+BENCHMARK_CAPTURE(BM_Step3_PaperShape, join_keyed,
+                  workload::QueryJoinElimination() + " and s.name = \"james\"");
+BENCHMARK_CAPTURE(BM_Step3_PaperShape, asr_direct, workload::QueryAsrDirect());
+BENCHMARK_CAPTURE(BM_Step3_PaperShape, asr_indirect,
+                  workload::QueryAsrIndirect());
+BENCHMARK_CAPTURE(
+    BM_Step3_PaperShape, lookup,
+    std::string("select x.age from x in Person where x.name = \"john\""));
 
 // Evaluation with the operator profiler off (Arg 0) vs on (Arg 1): the
 // delta is the cost of two clock reads + row accounting per join step.

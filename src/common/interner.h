@@ -67,7 +67,8 @@ using SymbolSet = std::unordered_set<Symbol, SymbolHash>;
 Symbol Intern(std::string_view s);
 
 /// Number of distinct strings interned so far. Exported to observability
-/// as the `interner.size` counter by layers that link obs.
+/// as the `interner.size` gauge (a point-in-time reading of a table that
+/// only grows) by layers that link obs.
 size_t InternerSize();
 
 }  // namespace sqo

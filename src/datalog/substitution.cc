@@ -6,15 +6,34 @@
 
 namespace sqo::datalog {
 
-Term Substitution::Apply(const Term& term) const {
+void Substitution::Bind(Symbol var, Term term) {
+  for (auto& [bound, existing] : bindings_) {
+    if (bound == var) {
+      existing = std::move(term);
+      return;
+    }
+  }
+  bindings_.emplace_back(var, std::move(term));
+}
+
+void Substitution::EraseBinding(Symbol var) {
+  for (size_t i = 0; i < bindings_.size(); ++i) {
+    if (bindings_[i].first == var) {
+      bindings_.erase(bindings_.begin() + static_cast<long>(i));
+      return;
+    }
+  }
+}
+
+const Term& Substitution::Resolve(const Term& term) const {
   const Term* current = &term;
   // Follow variable chains; bounded by the number of bindings, so cycles
   // (which Bind callers must not create) would terminate via the guard.
   size_t steps = 0;
   while (current->is_variable() && steps <= bindings_.size()) {
-    auto it = bindings_.find(current->var_symbol());
-    if (it == bindings_.end()) break;
-    current = &it->second;
+    const Term* next = Lookup(current->var_symbol());
+    if (next == nullptr) break;
+    current = next;
     ++steps;
   }
   return *current;
@@ -23,7 +42,7 @@ Term Substitution::Apply(const Term& term) const {
 Atom Substitution::ApplyToAtom(const Atom& atom) const {
   std::vector<Term> args;
   args.reserve(atom.arity());
-  for (const Term& t : atom.args()) args.push_back(Apply(t));
+  for (const Term& t : atom.args()) args.push_back(Resolve(t));
   if (atom.is_comparison()) {
     return Atom::Comparison(atom.op(), std::move(args[0]), std::move(args[1]));
   }
@@ -32,11 +51,6 @@ Atom Substitution::ApplyToAtom(const Atom& atom) const {
 
 Literal Substitution::ApplyToLiteral(const Literal& literal) const {
   return Literal(literal.positive, ApplyToAtom(literal.atom));
-}
-
-const Term* Substitution::Lookup(Symbol var) const {
-  auto it = bindings_.find(var);
-  return it == bindings_.end() ? nullptr : &it->second;
 }
 
 std::string Substitution::ToString() const {

@@ -29,11 +29,10 @@ bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst) {
 }
 
 bool Matcher::MatchTerm(const Term& pattern, const Term& target) {
-  Term rp = subst_.Apply(pattern);
-  if (rp.is_variable() && bindable_->count(rp.var_symbol()) > 0) {
+  const Term& rp = subst_.Resolve(pattern);
+  if (rp.is_variable() && IsBindable(rp.var_symbol())) {
     if (rp == target) return true;
     subst_.Bind(rp.var_symbol(), target);
-    trail_.push_back(rp.var_symbol());
     return true;
   }
   // Frozen variable or constant: must be identical to the target, or
@@ -68,13 +67,9 @@ bool Matcher::MatchLiteral(const Literal& pattern, const Literal& target) {
 }
 
 void Matcher::RollbackTo(size_t mark) {
-  while (trail_.size() > mark) {
-    // Rebind-free trail: each trail entry was unbound before, so erasing
-    // restores the prior state exactly (Substitution exposes EraseBinding
-    // for the matcher's use).
-    subst_.EraseBinding(trail_.back());
-    trail_.pop_back();
-  }
+  // Every binding the matcher made was of an unbound variable, so dropping
+  // the ones after `mark` restores the prior state exactly.
+  if (mark < subst_.size()) subst_.TruncateTo(mark);
 }
 
 }  // namespace sqo::datalog

@@ -31,8 +31,10 @@ bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* subst);
 /// relation template) and residue application (residue variables bind
 /// against query terms).
 ///
-/// Supports chronological backtracking: `Mark()` snapshots the binding
-/// trail, `RollbackTo()` undoes bindings made since a mark.
+/// Supports chronological backtracking: `Mark()` snapshots the bindings,
+/// `RollbackTo()` undoes bindings made since a mark. The bindings are the
+/// substitution's flat vector, so one matcher reused across many attempts
+/// (`Reset`) allocates nothing once its storage has grown.
 class Matcher {
  public:
   /// Optional equivalence test for frozen-vs-frozen term mismatches:
@@ -47,11 +49,11 @@ class Matcher {
     bindable_ = &owned_bindable_;
   }
 
-  /// Non-owning fast path: `bindable` must outlive the matcher. Residue
-  /// application constructs one matcher per (residue, anchor) attempt, so
-  /// borrowing the residue's precomputed symbol set skips a set copy on the
-  /// optimizer's hottest path. A factory (not a constructor) so brace-init
-  /// `Matcher({...})` never silently selects a null pointer.
+  /// Non-owning fast path: `bindable` must outlive the matcher (or its next
+  /// `Reset`). Residue application borrows each residue's precomputed
+  /// symbol set, skipping a set copy on the optimizer's hottest path. A
+  /// factory (not a constructor) so brace-init `Matcher({...})` never
+  /// silently selects a null pointer.
   static Matcher Borrowing(const SymbolSet* bindable) {
     return Matcher(bindable, 0);
   }
@@ -62,6 +64,20 @@ class Matcher {
   Matcher& operator=(const Matcher&) = delete;
 
   void set_frozen_equiv(FrozenEquiv equiv) { frozen_equiv_ = std::move(equiv); }
+
+  /// Drops every binding and borrows `bindable` from now on; the frozen
+  /// equivalence stays. For matchers made by `Borrowing`.
+  void Reset(const SymbolSet* bindable) {
+    subst_.TruncateTo(0);
+    bindable_ = bindable;
+  }
+
+  /// True if `var` may receive a binding.
+  bool IsBindable(Symbol var) const { return bindable_->count(var) > 0; }
+
+  /// `term` resolved through the current bindings (see
+  /// Substitution::Resolve for how long the reference stays valid).
+  const Term& Resolve(const Term& term) const { return subst_.Resolve(term); }
 
   /// Matches pattern term against a frozen target term.
   bool MatchTerm(const Term& pattern, const Term& target);
@@ -75,8 +91,8 @@ class Matcher {
   /// Matches literals: polarities must agree.
   bool MatchLiteral(const Literal& pattern, const Literal& target);
 
-  /// Snapshot of the binding trail for backtracking.
-  size_t Mark() const { return trail_.size(); }
+  /// Snapshot of the bindings for backtracking.
+  size_t Mark() const { return subst_.size(); }
 
   /// Undoes all bindings made after `mark`.
   void RollbackTo(size_t mark);
@@ -88,8 +104,7 @@ class Matcher {
 
   SymbolSet owned_bindable_;
   const SymbolSet* bindable_ = nullptr;
-  Substitution subst_;
-  std::vector<Symbol> trail_;  // bound variable names, in order
+  Substitution subst_;  // bindings in the order they were made
   FrozenEquiv frozen_equiv_;
 };
 

@@ -91,7 +91,10 @@ void Server::Stop() {
   // observe the cancellation at their next governance check.
   {
     std::lock_guard<std::mutex> sessions_lock(sessions_mu_);
-    for (const std::shared_ptr<Session>& session : sessions_) {
+    for (const std::weak_ptr<Session>& handle : sessions_) {
+      // A session with queued work is held by its running request.
+      const std::shared_ptr<Session> session = handle.lock();
+      if (session == nullptr) continue;
       std::deque<Session::Request> drained;
       {
         std::lock_guard<std::mutex> lock(session->mu_);
@@ -126,6 +129,9 @@ std::shared_ptr<Session> Server::OpenSession(std::string name) {
   std::shared_ptr<Session> session(
       new Session(this, std::move(name), config_.slow_threshold_ns));
   std::lock_guard<std::mutex> lock(sessions_mu_);
+  std::erase_if(sessions_, [](const std::weak_ptr<Session>& handle) {
+    return handle.expired();
+  });
   sessions_.push_back(session);
   return session;
 }

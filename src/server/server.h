@@ -65,8 +65,10 @@ class Server {
   /// listener. Idempotent.
   void Stop();
 
-  /// Opens a named session. The server retains it; the handle stays
-  /// valid until the server is destroyed.
+  /// Opens a named session. It lives while the caller holds the handle or
+  /// a request of it is queued or running; the server keeps no session
+  /// alive by itself, so a dropped session's journal and metrics go with
+  /// it.
   std::shared_ptr<Session> OpenSession(std::string name);
 
   /// Admitted-but-unfinished requests across all sessions.
@@ -125,7 +127,7 @@ class Server {
   std::atomic<size_t> queued_{0};
 
   std::mutex sessions_mu_;
-  std::vector<std::shared_ptr<Session>> sessions_;
+  std::vector<std::weak_ptr<Session>> sessions_;  // what Stop drains
 
   mutable std::mutex obs_mu_;
   obs::QpsMeter latency_;

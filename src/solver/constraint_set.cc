@@ -46,12 +46,13 @@ int ConstraintSet::FindNode(const Term& term) const {
 ConstraintSet::Closure ConstraintSet::BuildClosure() const {
   const size_t n = nodes_.size();
   Closure cl;
-  cl.rel.assign(n, std::vector<Rel>(n, Rel::kNone));
-  for (size_t i = 0; i < n; ++i) cl.rel[i][i] = Rel::kLe;
+  cl.n = n;
+  cl.rel.assign(n * n, Rel::kNone);
+  for (size_t i = 0; i < n; ++i) cl.at(i, i) = Rel::kLe;
 
   auto strengthen = [&](int u, int v, Rel r) {
-    if (static_cast<uint8_t>(r) > static_cast<uint8_t>(cl.rel[u][v])) {
-      cl.rel[u][v] = r;
+    if (static_cast<uint8_t>(r) > static_cast<uint8_t>(cl.at(u, v))) {
+      cl.at(u, v) = r;
     }
   };
 
@@ -101,10 +102,10 @@ ConstraintSet::Closure ConstraintSet::BuildClosure() const {
   // Floyd–Warshall closure; strictness propagates through either hop.
   for (size_t k = 0; k < n; ++k) {
     for (size_t i = 0; i < n; ++i) {
-      if (cl.rel[i][k] == Rel::kNone) continue;
+      if (cl.at(i, k) == Rel::kNone) continue;
       for (size_t j = 0; j < n; ++j) {
-        if (cl.rel[k][j] == Rel::kNone) continue;
-        Rel combined = (cl.rel[i][k] == Rel::kLt || cl.rel[k][j] == Rel::kLt)
+        if (cl.at(k, j) == Rel::kNone) continue;
+        Rel combined = (cl.at(i, k) == Rel::kLt || cl.at(k, j) == Rel::kLt)
                            ? Rel::kLt
                            : Rel::kLe;
         strengthen(static_cast<int>(i), static_cast<int>(j), combined);
@@ -114,7 +115,7 @@ ConstraintSet::Closure ConstraintSet::BuildClosure() const {
 
   // Unsat: a strict cycle (u < u) or a disequality forced into equality.
   for (size_t i = 0; i < n; ++i) {
-    if (cl.rel[i][i] == Rel::kLt) {
+    if (cl.at(i, i) == Rel::kLt) {
       cl.unsat = true;
       return cl;
     }
@@ -192,7 +193,7 @@ std::vector<Atom> ConstraintSet::Project(
   for (int u : reps) {
     for (int v : reps) {
       if (u == v) continue;
-      Rel r = cl.rel[u][v];
+      Rel r = cl.at(u, v);
       if (r == Rel::kNone || cl.ForcedEqual(u, v)) continue;
       if (nodes_[u].is_constant() && nodes_[v].is_constant()) continue;
       // Emit each unordered pair once: skip the (v, u) direction of a
@@ -201,8 +202,8 @@ std::vector<Atom> ConstraintSet::Project(
       bool redundant = false;
       for (int w : reps) {
         if (w == u || w == v) continue;
-        if (cl.rel[u][w] == Rel::kNone || cl.rel[w][v] == Rel::kNone) continue;
-        Rel through = (cl.rel[u][w] == Rel::kLt || cl.rel[w][v] == Rel::kLt)
+        if (cl.at(u, w) == Rel::kNone || cl.at(w, v) == Rel::kNone) continue;
+        Rel through = (cl.at(u, w) == Rel::kLt || cl.at(w, v) == Rel::kLt)
                           ? Rel::kLt
                           : Rel::kLe;
         if (static_cast<uint8_t>(through) >= static_cast<uint8_t>(r)) {
@@ -224,7 +225,7 @@ std::vector<Atom> ConstraintSet::Project(
     int u = rep[a], v = rep[b];
     if (u == v) continue;  // would be unsat; already handled
     if (nodes_[u].is_constant() && nodes_[v].is_constant()) continue;
-    if (cl.rel[u][v] == Rel::kLt || cl.rel[v][u] == Rel::kLt) continue;
+    if (cl.at(u, v) == Rel::kLt || cl.at(v, u) == Rel::kLt) continue;
     auto key = std::minmax(u, v);
     if (!emitted_ne.insert({key.first, key.second}).second) continue;
     out.push_back(Atom::Comparison(CmpOp::kNe, nodes_[u], nodes_[v]));
@@ -232,98 +233,94 @@ std::vector<Atom> ConstraintSet::Project(
   return out;
 }
 
-bool ConstraintSet::EqualityView::ImpliesWithMissingConstant(
-    int u, CmpOp op, const sqo::Value& c) const {
-  // Constants are interned by semantic equality, so a missing `c` has no
-  // equal-valued node either: forced equality to it is impossible, and
-  // every other operator reduces to an order bound through some known
-  // constant node d with `u ? d` in the closure and `d ? c` by value.
-  if (op == CmpOp::kEq) return false;
-  auto le = [&](int x, int y) { return closure_.rel[x][y] != Rel::kNone; };
-  auto lt = [&](int x, int y) { return closure_.rel[x][y] == Rel::kLt; };
-  for (size_t d = 0; d < set_.nodes_.size(); ++d) {
-    const int di = static_cast<int>(d);
-    if (!set_.nodes_[d].is_constant()) continue;
-    auto dc = set_.nodes_[d].constant().Compare(c);
-    if (!dc.has_value()) continue;  // incomparable types
-    const bool below = (lt(u, di) && *dc <= 0) || (le(u, di) && *dc < 0);
-    const bool above = (lt(di, u) && *dc >= 0) || (le(di, u) && *dc > 0);
-    switch (op) {
-      case CmpOp::kLe:
-        if (le(u, di) && *dc <= 0) return true;
-        break;
-      case CmpOp::kLt:
-        if (below) return true;
-        break;
-      case CmpOp::kGe:
-        if (le(di, u) && *dc >= 0) return true;
-        break;
-      case CmpOp::kGt:
-        if (above) return true;
-        break;
-      case CmpOp::kNe:
-        if (below || above) return true;
-        if (closure_.ForcedEqual(u, di) && *dc != 0) return true;
-        break;
-      case CmpOp::kEq:
-        break;
-    }
+bool ConstraintSet::EqualityView::EdgeForcesDisequalPair(int s, int t,
+                                                         bool both) const {
+  auto le = [&](int x, int y) { return closure_.at(x, y) != Rel::kNone; };
+  auto reach = [&](int x, int y) {
+    return le(x, y) || (le(x, s) && le(t, y)) ||
+           (both && le(x, t) && le(s, y));
+  };
+  for (const auto& [p, q] : closure_.diseq) {
+    if (reach(p, q) && reach(q, p)) return true;
   }
   return false;
 }
 
+ConstraintSet::Rel ConstraintSet::EqualityView::Reach(const Term& x, int xi,
+                                                      const Term& y,
+                                                      int yi) const {
+  if (xi >= 0 && yi >= 0) return closure_.at(xi, yi);
+  // A constant the set never interned is strictly ordered against every
+  // comparable constant node, by value, and related to nothing else; so a
+  // path through it is strict and leaves or enters it through such a node.
+  const std::vector<Term>& nodes = set_.nodes_;
+  auto less = [](const Term& p, const Term& q) {
+    auto cmp = p.constant().Compare(q.constant());
+    return cmp.has_value() && *cmp < 0;
+  };
+  auto from_x = [&](int d) { return xi >= 0 ? closure_.at(xi, d) != Rel::kNone
+                                            : less(x, nodes[d]); };
+  auto into_y = [&](int d) { return yi >= 0 ? closure_.at(d, yi) != Rel::kNone
+                                            : less(nodes[d], y); };
+  if (xi < 0 && yi < 0 && less(x, y)) return Rel::kLt;
+  for (size_t d1 = 0; d1 < nodes.size(); ++d1) {
+    if (!nodes[d1].is_constant() || !from_x(static_cast<int>(d1))) continue;
+    for (size_t d2 = 0; d2 < nodes.size(); ++d2) {
+      if (nodes[d2].is_constant() && into_y(static_cast<int>(d2)) &&
+          closure_.at(d1, d2) != Rel::kNone) {
+        return Rel::kLt;
+      }
+    }
+  }
+  return Rel::kNone;
+}
+
 bool ConstraintSet::EqualityView::Implies(const Atom& comparison) const {
   if (!comparison.is_comparison()) return false;
+  return Implies(comparison.op(), comparison.lhs(), comparison.rhs());
+}
+
+bool ConstraintSet::EqualityView::Implies(CmpOp op, const Term& a,
+                                          const Term& b) const {
+  // `a op b` is entailed iff the set plus its negation is unsatisfiable:
+  // the negation closes a strict cycle, or (when it adds non-strict edges)
+  // forces an asserted-disequal pair equal. Constants the set never
+  // interned take part through their order against the constants it did
+  // (x ≥ 30 entails x ≥ 21 though 21 has no node).
   if (closure_.unsat) return true;
-  const Term& a = comparison.lhs();
-  const Term& b = comparison.rhs();
-  // Ground comparison between constants: evaluate directly.
-  if (a.is_constant() && b.is_constant()) {
-    if (comparison.op() == CmpOp::kEq || comparison.op() == CmpOp::kNe) {
-      return datalog::EvalCmp(comparison.op(),
-                              a.constant().Equals(b.constant()) ? 0 : 1);
-    }
-    auto cmp = a.constant().Compare(b.constant());
-    return cmp.has_value() && datalog::EvalCmp(comparison.op(), *cmp);
-  }
-  // Reflexive.
-  if (a == b) {
-    return comparison.op() == CmpOp::kEq || comparison.op() == CmpOp::kLe ||
-           comparison.op() == CmpOp::kGe;
-  }
-  int u = set_.FindNode(a);
-  int v = set_.FindNode(b);
-  // A constant absent from the node table can still be entailed through the
-  // constants the closure does know; without this, implication would depend
-  // on which literals happened to be asserted verbatim.
-  if (u >= 0 && v < 0 && b.is_constant()) {
-    return ImpliesWithMissingConstant(u, comparison.op(), b.constant());
-  }
-  if (v >= 0 && u < 0 && a.is_constant()) {
-    return ImpliesWithMissingConstant(v, sqo::FlipOp(comparison.op()),
-                                      a.constant());
-  }
-  // A term the set knows nothing about satisfies no nontrivial comparison.
-  if (u < 0 || v < 0) return false;
-  auto le = [&](int x, int y) { return closure_.rel[x][y] != Rel::kNone; };
-  auto lt = [&](int x, int y) { return closure_.rel[x][y] == Rel::kLt; };
-  switch (comparison.op()) {
+  if (a == b) return op == CmpOp::kEq || op == CmpOp::kLe || op == CmpOp::kGe;
+  const int u = set_.FindNode(a);
+  const int v = set_.FindNode(b);
+  // A variable the set never saw gets fresh edges to one node only, which
+  // close no cycle and force no equality.
+  if ((u < 0 && a.is_variable()) || (v < 0 && b.is_variable())) return false;
+  const bool known = u >= 0 && v >= 0;
+  switch (op) {
     case CmpOp::kEq:
-      return closure_.ForcedEqual(u, v);
+      return known && closure_.ForcedEqual(u, v);
     case CmpOp::kLe:
-      return le(u, v);
+      return Reach(a, u, b, v) != Rel::kNone;
     case CmpOp::kGe:
-      return le(v, u);
+      return Reach(b, v, a, u) != Rel::kNone;
     case CmpOp::kLt:
-      return lt(u, v);
+      return Reach(a, u, b, v) == Rel::kLt ||
+             (known && EdgeForcesDisequalPair(v, u, /*both=*/false));
     case CmpOp::kGt:
-      return lt(v, u);
+      return Reach(b, v, a, u) == Rel::kLt ||
+             (known && EdgeForcesDisequalPair(u, v, /*both=*/false));
     case CmpOp::kNe: {
-      if (lt(u, v) || lt(v, u)) return true;
-      // An asserted disequality between the respective equality classes.
-      for (const auto& [p, q] : closure_.diseq) {
-        if ((closure_.ForcedEqual(p, u) && closure_.ForcedEqual(q, v)) ||
-            (closure_.ForcedEqual(p, v) && closure_.ForcedEqual(q, u))) {
+      if (Reach(a, u, b, v) == Rel::kLt || Reach(b, v, a, u) == Rel::kLt) {
+        return true;
+      }
+      if (known) return EdgeForcesDisequalPair(u, v, /*both=*/true);
+      // Equating a constant the set never interned with a term forced equal
+      // to some constant node (or with another such constant) equates two
+      // distinct constants.
+      if (u < 0 && v < 0) return true;
+      const int w = u >= 0 ? u : v;
+      for (size_t d = 0; d < set_.nodes_.size(); ++d) {
+        if (set_.nodes_[d].is_constant() &&
+            closure_.ForcedEqual(w, static_cast<int>(d))) {
           return true;
         }
       }

@@ -83,16 +83,18 @@ class ConstraintSet {
   };
 
   struct Closure {
-    // rel[u][v]: strongest derived order u ? v.
-    std::vector<std::vector<Rel>> rel;
+    // at(u, v): strongest derived order u ? v, row-major over n nodes.
+    size_t n = 0;
+    std::vector<Rel> rel;
     // Pairs asserted distinct.
     std::vector<std::pair<int, int>> diseq;
     bool unsat = false;
 
+    Rel at(size_t u, size_t v) const { return rel[u * n + v]; }
+    Rel& at(size_t u, size_t v) { return rel[u * n + v]; }
+
     bool ForcedEqual(int u, int v) const {
-      return u == v ||
-             (rel[u][v] != Rel::kNone && rel[v][u] != Rel::kNone &&
-              rel[u][v] != Rel::kLt && rel[v][u] != Rel::kLt);
+      return u == v || (at(u, v) == Rel::kLe && at(v, u) == Rel::kLe);
     }
   };
 
@@ -134,13 +136,20 @@ class ConstraintSet::EqualityView {
   /// True iff the set entails `a op b`. Exact (matches
   /// ConstraintSet::Implies) but answered from the precomputed closure.
   bool Implies(const datalog::Atom& comparison) const;
+  bool Implies(datalog::CmpOp op, const datalog::Term& a,
+               const datalog::Term& b) const;
 
  private:
-  /// Discharges `node u op c` where `c` is a constant the set never
-  /// interned, by bridging through the constant nodes the closure does
-  /// know (x ≥ 30 entails x ≥ 21 even though 21 has no node).
-  bool ImpliesWithMissingConstant(int u, datalog::CmpOp op,
-                                  const sqo::Value& c) const;
+  /// The strongest order the set plus seeds give from `x` to `y`; `xi` and
+  /// `yi` are their nodes, or -1 for a constant the set never interned.
+  Rel Reach(const datalog::Term& x, int xi, const datalog::Term& y,
+            int yi) const;
+
+  /// Whether adding `s ≤ t` (and `t ≤ s` too when `both`) to a set with no
+  /// strict cycle through the new edges forces some asserted-disequal pair
+  /// equal: the negations of `<`, `>` and `≠` add exactly these edges, and
+  /// with no strict cycle a mutual reachability is a forced equality.
+  bool EdgeForcesDisequalPair(int s, int t, bool both) const;
 
   const ConstraintSet& set_;
   Closure closure_;

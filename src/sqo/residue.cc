@@ -30,8 +30,18 @@ void Residue::FinalizeForMatching() {
     bindable_symbols.insert(sqo::Intern(name));
   }
   remainder_predicates.clear();
+  remainder_flipped.clear();
   for (const Literal& lit : remainder) {
-    if (!lit.atom.is_predicate()) continue;
+    if (lit.atom.is_comparison()) {
+      Atom flipped = Atom::Comparison(datalog::FlipOp(lit.atom.op()),
+                                      lit.atom.rhs(), lit.atom.lhs());
+      const bool distinct =
+          flipped.op() != lit.atom.op() || flipped.lhs() != lit.atom.lhs();
+      remainder_flipped.push_back(
+          distinct ? std::optional<Atom>(std::move(flipped)) : std::nullopt);
+      continue;
+    }
+    remainder_flipped.push_back(std::nullopt);
     std::pair<sqo::Symbol, bool> req(lit.atom.predicate_symbol(), lit.positive);
     bool present = false;
     for (const auto& existing : remainder_predicates) {

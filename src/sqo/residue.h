@@ -57,6 +57,21 @@ struct Residue {
   /// the whole match attempt. Filled by FinalizeForMatching.
   std::vector<std::pair<sqo::Symbol, bool>> remainder_predicates;
 
+  /// Per remainder literal: the mirror image of a comparison (`a < b` as
+  /// `b > a`), which also matches a query comparison written the other way
+  /// round; nullopt for predicates and for comparisons that are their own
+  /// mirror. Filled by FinalizeForMatching.
+  std::vector<std::optional<datalog::Atom>> remainder_flipped;
+
+  /// True if a literal with `predicate` and `positive` polarity can match
+  /// some remainder literal.
+  bool RemainderMentions(sqo::Symbol predicate, bool positive) const {
+    for (const auto& [pred, pol] : remainder_predicates) {
+      if (pred == predicate && pol == positive) return true;
+    }
+    return false;
+  }
+
   Residue() : template_atom(datalog::Atom::Pred("", {})) {}
 
   /// Precomputes the application-time acceleration fields above from

@@ -7,56 +7,19 @@
 #include <gtest/gtest.h>
 
 #include "engine/database.h"
+#include "equivalence_corpus.h"
 #include "reference_eval.h"
 #include "workload/university.h"
 
 namespace sqo {
-namespace {
 
-struct Case {
-  const char* label;
-  const char* oql;
-};
-
-std::ostream& operator<<(std::ostream& os, const Case& c) {
+std::ostream& operator<<(std::ostream& os, const EquivalenceCase& c) {
   return os << c.label;
 }
 
-constexpr Case kQueries[] = {
-    {"scope", "select x.name from x in Person where x.age < 30"},
-    {"scope_high", "select x.name from x in Person where x.age >= 40"},
-    {"faculty_salary", "select x.name from x in Faculty where x.salary > 50K"},
-    {"implied_restriction",
-     "select x.name from x in Faculty where x.salary > 20K"},
-    {"join2", "select y.number from x in Student, y in x.takes "
-              "where x.name = \"john\""},
-    {"join3",
-     "select z.name from x in Student, y in x.takes, z in y.is_taught_by"},
-    {"key_join",
-     "select list(s.student_id, t.employee_id) from s in Student, "
-     "y in s.takes, z in y.is_taught_by, t in TA, v in t.takes, "
-     "w in v.is_taught_by where z.name = w.name"},
-    {"asr_path",
-     "select w from x in Student, y in x.takes, z in y.is_section_of, "
-     "v in z.has_sections, w in v.has_ta where x.name = \"james\""},
-    {"asr_prefix",
-     "select v from x in Student, y in x.takes, z in y.is_section_of, "
-     "v in z.has_sections where x.name = \"johnson\""},
-    {"struct_path",
-     "select w.city from x in Person, w in x.address"},
-    {"not_in",
-     "select x.name from x in Person, x not in Student where x.age < 50"},
-    {"method",
-     "select x.name from x in Faculty where x.taxes_withheld(10%) > 5000"},
-    {"ta_double_role",
-     "select t.employee_id from t in TA, y in t.takes"},
-    {"exists_simple",
-     "select x.name from x in Student "
-     "where exists y in x.takes : y.number != \"zz\""},
-    {"exists_faculty",
-     "select x.name from x in Person "
-     "where x.age < 30 and exists s in Student : s.name = x.name"},
-};
+namespace {
+
+using Case = EquivalenceCase;
 
 class EquivalenceSweep
     : public ::testing::TestWithParam<std::tuple<Case, int>> {};
@@ -109,7 +72,7 @@ TEST_P(EquivalenceSweep, AllRewritingsPreserveAnswers) {
 
 INSTANTIATE_TEST_SUITE_P(
     Corpus, EquivalenceSweep,
-    ::testing::Combine(::testing::ValuesIn(kQueries), ::testing::Values(1, 7)),
+    ::testing::Combine(::testing::ValuesIn(kEquivalenceCorpus), ::testing::Values(1, 7)),
     [](const ::testing::TestParamInfo<std::tuple<Case, int>>& info) {
       return std::string(std::get<0>(info.param).label) + "_seed" +
              std::to_string(std::get<1>(info.param));

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -10,6 +11,7 @@
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/interner.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "workload/university.h"
@@ -81,6 +83,43 @@ TEST_F(ServerTest, ServesSnapshotQueriesAfterStart) {
   EXPECT_EQ(response.epoch, 1u);
   EXPECT_FALSE(response.degraded);
   EXPECT_GE(response.n_alternatives, 1u);
+}
+
+// The interner's size is a point-in-time reading: per-request registries
+// merge into the server's, and a counter would add one full table size per
+// request.
+TEST_F(ServerTest, InternerSizeIsTheTableSizeAfterManyQueries) {
+  auto server = StartServer(BaseConfig());
+  auto session = server->OpenSession("reader");
+  for (int i = 0; i < 10; ++i) {
+    QueryResponse response = session->Query(kYoungQuery);
+    ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  }
+  const obs::MetricsRegistry metrics = server->MetricsSnapshot();
+  EXPECT_EQ(metrics.CounterValue("interner.size"), 0u);
+  const uint64_t size = metrics.GaugeValue("interner.size");
+  EXPECT_GT(size, 0u);
+  EXPECT_LE(size, sqo::InternerSize());
+}
+
+// A session lives while its client holds it: the server keeps no closed
+// session (and its journal) alive, so session churn does not grow memory.
+TEST_F(ServerTest, ADroppedSessionIsFreed) {
+  auto server = StartServer(BaseConfig());
+  std::shared_ptr<Session> session = server->OpenSession("short-lived");
+  QueryResponse response = session->Query(kYoungQuery);
+  ASSERT_TRUE(response.status.ok()) << response.status.ToString();
+  const std::weak_ptr<Session> handle = session;
+  session.reset();
+  // The worker that answered may still be returning from the request.
+  for (int i = 0; i < 200 && !handle.expired(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(handle.expired());
+  // Later sessions and Stop still work.
+  auto next = server->OpenSession("next");
+  EXPECT_TRUE(next->Query(kYoungQuery).status.ok());
+  server->Stop();
 }
 
 TEST_F(ServerTest, MutationsPublishAndBecomeVisibleToLaterQueries) {

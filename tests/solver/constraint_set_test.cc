@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <random>
+#include <vector>
 
 #include "datalog/parser.h"
 
@@ -363,6 +365,70 @@ TEST(EqualityViewTest, MissingConstantUpperBound) {
   EXPECT_FALSE(view.Implies(CmpC("Salary", CmpOp::kLt, 39999)));
   // A variable the set has never seen satisfies nothing.
   EXPECT_FALSE(view.Implies(CmpC("Other", CmpOp::kLt, 50000)));
+}
+
+// A disequality turns an order bound strict only through the negation the
+// decision procedure adds: X ≤ Q ≤ P ≤ Y with P ≠ Q forces X < Y and
+// X ≠ Y, though the closure alone records only X ≤ Y.
+TEST(EqualityViewTest, DisequalityMakesABoundStrict) {
+  ConstraintSet cs;
+  cs.Add(Cmp("X", CmpOp::kLe, "Q"));
+  cs.Add(Cmp("Q", CmpOp::kLe, "P"));
+  cs.Add(Cmp("P", CmpOp::kLe, "Y"));
+  cs.Add(Cmp("P", CmpOp::kNe, "Q"));
+  const ConstraintSet::EqualityView view(cs);
+  for (CmpOp op : {CmpOp::kLt, CmpOp::kNe}) {
+    EXPECT_TRUE(cs.Implies(Cmp("X", op, "Y")));
+    EXPECT_TRUE(view.Implies(Cmp("X", op, "Y")));
+  }
+  EXPECT_TRUE(view.Implies(Cmp("Y", CmpOp::kGt, "X")));
+  EXPECT_FALSE(view.Implies(Cmp("Y", CmpOp::kLt, "X")));
+}
+
+// The view answers every implication from one closure; it must agree with
+// the copy-and-negate procedure on arbitrary sets: unsatisfiable ones,
+// var–var atoms, numeric and string constants, and probes over terms the
+// set never saw.
+TEST(EqualityViewTest, ImpliesEqualsConstraintSetImpliesOnRandomSets) {
+  const std::vector<Term> seen = {
+      Term::Var("X"),    Term::Var("Y"),        Term::Var("Z"),
+      Term::Var("W"),    Term::Int(1),          Term::Int(5),
+      Term::Double(2.5), Term::String("a"),     Term::String("m")};
+  std::vector<Term> probes = seen;
+  for (Term t : {Term::Var("Unseen"), Term::Int(3), Term::Double(5.0),
+                 Term::Int(9), Term::String("k"), Term::String("z")}) {
+    probes.push_back(std::move(t));
+  }
+  const CmpOp ops[] = {CmpOp::kEq, CmpOp::kNe, CmpOp::kLt,
+                       CmpOp::kLe, CmpOp::kGt, CmpOp::kGe};
+  std::mt19937_64 rng(20260419);
+  auto pick = [&](size_t n) {
+    return std::uniform_int_distribution<size_t>(0, n - 1)(rng);
+  };
+  size_t unsat = 0;
+  for (int trial = 0; trial < 4000; ++trial) {
+    ConstraintSet cs;
+    const size_t n = pick(7);
+    for (size_t k = 0; k < n; ++k) {
+      cs.AddConstraint(ops[pick(6)], seen[pick(seen.size())],
+                       seen[pick(seen.size())]);
+    }
+    if (!cs.Satisfiable()) ++unsat;
+    const ConstraintSet::EqualityView view(cs);
+    for (int p = 0; p < 12; ++p) {
+      const Atom probe =
+          Atom::Comparison(ops[pick(6)], probes[pick(probes.size())],
+                           probes[pick(probes.size())]);
+      ASSERT_EQ(view.Implies(probe), cs.Implies(probe))
+          << cs.ToString() << " |= " << probe.ToString();
+      if (probe.op() == CmpOp::kEq) {
+        ASSERT_EQ(view.Equal(probe.lhs(), probe.rhs()),
+                  cs.ImpliesEqual(probe.lhs(), probe.rhs()))
+            << cs.ToString() << " |= " << probe.ToString();
+      }
+    }
+  }
+  EXPECT_GT(unsat, 100u);
 }
 
 }  // namespace

@@ -256,6 +256,29 @@ TEST_F(OptimizerTest, NonImpliedRestrictionIsKept) {
   }
 }
 
+// A consequence that relied on a fact only the removed comparison supplied
+// does not hold without it: S >= 70K is implied by S > 80K alone, so the
+// derived S > 90K must not make S > 80K look redundant.
+TEST_F(OptimizerTest, RemovalRechecksTheFactsOfConsequences) {
+  auto user = datalog::ParseProgram(
+      "gap: Salary > 90K <- faculty(oid: X, salary: Salary), Salary >= 70K.",
+      &schema_->catalog);
+  ASSERT_TRUE(user.ok()) << user.status().ToString();
+  auto compiled = CompileSemantics(schema_.get(), *user, {});
+  ASSERT_TRUE(compiled.ok());
+  Optimizer opt(&*compiled);
+  Query q = ParseQ("q(S) :- faculty(oid: X, salary: S), S > 80K.");
+  auto outcome = opt.Optimize(q);
+  ASSERT_TRUE(outcome.ok());
+  bool strengthened = false;
+  for (const Rewriting& rw : outcome->equivalents) {
+    EXPECT_FALSE(rw.query.Comparisons().empty()) << rw.query.ToString();
+    strengthened = strengthened || rw.query.ToString().find("S > 90000") !=
+                                       std::string::npos;
+  }
+  EXPECT_TRUE(strengthened);
+}
+
 TEST_F(OptimizerTest, OriginalIsAlwaysFirstAlternative) {
   Optimizer opt(compiled_.get());
   Query q = ParseQ("q(N) :- person(oid: X, name: N, age: A), A < 30.");
